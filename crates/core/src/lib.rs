@@ -25,6 +25,11 @@
 //!   trait + pattern driver).
 //! * [`mod@replay`] — synchronous workload replay: computes `V(γ)`
 //!   (number of re-simulated steps) for the cost models and Fig. 5.
+//! * [`member`] — the cluster-member protocol core around the DV: WAL
+//!   recovery, recovery leases, `Reassert` outcomes, takeover
+//!   admission, pin journaling and the eviction-ownership rule. Also
+//!   sans-I/O, so the daemon and the fault-injection harness run the
+//!   same member protocol.
 //! * [`vharness`] — the virtual-time experiment harness tying the DV to
 //!   `simkit`'s engine and `simbatch`'s cluster (Figs. 16–19).
 //! * [`wire`], [`server`], [`client`], [`intercept`] — the real deal: a
@@ -45,6 +50,7 @@ pub mod driver;
 pub mod dv;
 pub mod effectpool;
 pub mod intercept;
+pub mod member;
 pub mod model;
 pub mod perfmodel;
 pub mod prefetch;

@@ -126,7 +126,11 @@
 //!    [`simstore::walog::WalState`] snapshot at sync points once it
 //!    passes [`simstore::walog::COMPACT_THRESHOLD`]. Contexts without
 //!    durability skip this tier entirely — one `Option` check on the
-//!    hot path.
+//!    hot path. What the tier *decides* — startup recovery, recovery
+//!    leases, `Reassert` outcomes, takeover admission, which pin record
+//!    a grant journals, and which evictions delete files — lives in the
+//!    sans-I/O [`crate::member`] core, which the fault-injection harness
+//!    drives too; this module supplies only the locks and the I/O.
 //! 2. **Per-key-range DV shard locks.** The DV state machine is split
 //!    into N independent shards routed by restart interval
 //!    ([`crate::dv::DvRouter`]): each shard owns a disjoint set of
@@ -187,7 +191,8 @@ use crate::dv::{
     ClientId, DataVirtualizer, DvAction, DvEvent, DvRouter, DvStats, EventRoute, FailCode,
     ShardedDv, SimId,
 };
-use crate::model::{ContextCfg, StepMath};
+use crate::member::{self, Leases, MemberCore};
+use crate::model::ContextCfg;
 use crate::prefetch::{AccessLog, AccessRecord, ACCESS_LOG_CAPACITY};
 use crate::reactor::{ConnCtx, Reactor};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLIN};
@@ -592,10 +597,11 @@ struct CtxRuntime {
     /// cluster member owns).
     shards: Vec<Mutex<DvCore>>,
     router: DvRouter,
-    /// Position in the daemon cluster; `SOLO` outside clusters.
-    cluster: ClusterMember,
-    /// The context's step math (for cluster-ownership checks).
-    steps: StepMath,
+    /// The member-protocol core: cluster position, step math and this
+    /// instance's recovery epoch (strictly above every epoch in the
+    /// replayed WAL, `0` without durability — carried in `HelloOk` so
+    /// clients can tell a restarted daemon from a dropped connection).
+    member: MemberCore,
     /// The lock-free hit layer (every context — prefetching ones
     /// observe through the digest instead of the acquire path).
     fast: Arc<HitIndex>,
@@ -619,17 +625,12 @@ struct CtxRuntime {
     /// any DV shard lock → WAL lock; never held across I/O other than
     /// the log's own writes.
     wal: Option<Mutex<DaemonWal>>,
-    /// This instance's recovery epoch: strictly above every epoch in
-    /// the replayed WAL, `0` without durability. Carried in `HelloOk`
-    /// so clients can tell a restarted daemon from a dropped
-    /// connection.
-    epoch: u64,
     /// WAL records replayed at startup (stat; fixed after start).
     wal_replayed: u64,
     /// Recovery leases: prior-instance client → deadline by which it
     /// must reconnect and re-assert, else its restored pins are
     /// released. Entries leave via re-assertion or expiry (reaper).
-    leases: Mutex<HashMap<u64, Instant>>,
+    leases: Mutex<Leases<Instant>>,
     /// Sessions that handshook with a prior-epoch claim (reconnects).
     client_reconnects: AtomicU64,
     /// Recovery leases expired without re-assertion.
@@ -705,13 +706,6 @@ impl Inner {
 }
 
 impl CtxRuntime {
-    /// The cluster member owning `key`'s restart interval (used only in
-    /// rejection diagnostics; the ownership test itself goes through
-    /// [`ClusterMember::owns_key`]).
-    fn router_member_of(&self, key: u64) -> u32 {
-        DvRouter::new(self.steps, self.cluster.size).shard_of_key(key) as u32
-    }
-
     /// Resolves the actions of one DV transition into `fx` (called with
     /// the owning shard lock held; does no I/O).
     fn collect(&self, core: &mut DvCore, fx: &mut Effects) {
@@ -749,7 +743,13 @@ impl CtxRuntime {
                     sim, keys, level, ..
                 } => fx.launches.push((sim, keys, level)),
                 DvAction::Kill { sim } => fx.kills.push(sim),
-                DvAction::Evict { key } => fx.evicts.push(key),
+                DvAction::Evict { key } => {
+                    // Only the owner deletes; a foreign eviction just
+                    // dropped this member's cache entry.
+                    if self.member.deletes_on_evict(key) {
+                        fx.evicts.push(key);
+                    }
+                }
             }
         }
         if fx.launches.len() > launches_before {
@@ -1138,31 +1138,7 @@ impl CtxRuntime {
         }
         for (client, resp) in &fx.outbox {
             if let Response::Ready { key, .. } = resp {
-                // A Ready for a key this member does not own can only be
-                // a takeover grant (untagged foreign acquires are
-                // rejected before any Ready exists): journal it with the
-                // takeover tag so the degraded-mode pins are
-                // distinguishable in the log. The check is stateless —
-                // deferred Readys (production completions) carry no
-                // request context, but ownership is a pure function of
-                // the key.
-                let foreign = self.cluster.is_clustered()
-                    && self.steps.valid_key(*key)
-                    && !self.cluster.owns_key(&self.steps, *key);
-                let record = if foreign {
-                    WalRecord::TakeoverPin {
-                        client: *client,
-                        key: *key,
-                        epoch: self.epoch,
-                    }
-                } else {
-                    WalRecord::PinAcquire {
-                        client: *client,
-                        key: *key,
-                        epoch: self.epoch,
-                    }
-                };
-                w.append(record);
+                w.append(self.member.pin_record(*client, *key));
                 any = true;
             }
         }
@@ -1186,7 +1162,7 @@ impl CtxRuntime {
         let _rank = lockrank::held(lockrank::WAL);
         let mut w = wal.lock();
         if self.wal_append_outbox(&mut w, fx) {
-            w.sync_and_compact(self.epoch);
+            w.sync_and_compact(self.member.epoch);
         }
     }
 
@@ -1213,18 +1189,6 @@ impl CtxRuntime {
         self.commit(inner, fx);
     }
 
-    /// Stages a durable departure for `client` (disconnect or lease
-    /// expiry) into `fx`: voids all its pins and its lease in one
-    /// record, written by the next commit's WAL pass.
-    fn stage_client_gone(&self, fx: &mut Effects, client: ClientId) {
-        if self.wal.is_some() {
-            fx.wal_records.push(WalRecord::ClientGone {
-                client,
-                epoch: self.epoch,
-            });
-        }
-    }
-
     /// Any recovery leases still waiting for re-assertion?
     fn has_leases(&self) -> bool {
         let _rank = lockrank::held(lockrank::LEASES);
@@ -1237,23 +1201,15 @@ impl CtxRuntime {
     /// an unreturned client's crash-recovered pins from vetoing
     /// eviction forever. Driven from the reaper thread.
     fn expire_leases(&self, inner: &Inner, fx: &mut Effects) {
-        let expired: Vec<ClientId> = {
+        let expired = {
             let _rank = lockrank::held(lockrank::LEASES);
-            let mut leases = self.leases.lock();
-            let now = Instant::now();
-            let gone: Vec<ClientId> = leases
-                .iter()
-                .filter(|(_, deadline)| **deadline <= now)
-                .map(|(client, _)| *client)
-                .collect();
-            for client in &gone {
-                leases.remove(client);
-            }
-            gone
+            self.leases.lock().expire(Instant::now())
         };
         for client in expired {
             self.leases_expired.fetch_add(1, Ordering::Relaxed);
-            self.stage_client_gone(fx, client);
+            if self.wal.is_some() {
+                fx.wal_records.push(self.member.gone_record(client));
+            }
             self.transition(inner, DvEvent::ClientGone { client }, fx);
             self.commit(inner, fx);
         }
@@ -1322,190 +1278,13 @@ impl CtxRuntime {
     ) -> bool {
         match req {
             Request::Acquire { req_id, keys } => {
-                let mut slow_keys = 0u64;
-                let mut rejected = false;
-                let mut polluted = false;
-                // Observation is a record, not a lock acquisition: in
-                // prefetching contexts every locally observed key —
-                // fast or slow — lands in the connection's digest log,
-                // stamped with one epoch per request (a multi-key
-                // acquire is one consumption point).
-                let digest_on = self.digest && local.observe_local;
-                let epoch = if digest_on { inner.now().as_nanos() } else { 0 };
-                for &key in &keys {
-                    // Layer 0 (clusters only): ownership. A key whose
-                    // interval hashes to another daemon is refused — a
-                    // correctly routing DVLib never sends one, and
-                    // accepting it would double-produce the interval
-                    // under a foreign budget slice. Invalid keys are
-                    // exempt (no member owns them): they fall through
-                    // to the DV for the same timeline error every
-                    // daemon reports.
-                    if self.cluster.is_clustered()
-                        && self.steps.valid_key(key)
-                        && !self.cluster.owns_key(&self.steps, key)
-                    {
-                        fx.outbox.push((
-                            client,
-                            Response::Failed {
-                                req_id,
-                                key,
-                                code: FailCode::Other,
-                                reason: format!(
-                                    "key {key} belongs to cluster member {} (this is {} of {})",
-                                    self.router_member_of(key),
-                                    self.cluster.index,
-                                    self.cluster.size
-                                ),
-                            },
-                        ));
-                        rejected = true;
-                        continue;
-                    }
-                    // Layer 1: the lock-free hit path. A resident key is
-                    // pinned through the concurrent index (the pin is
-                    // eviction-visible before we reply) and answered
-                    // straight into this connection's output buffer —
-                    // no DV lock, no routing table.
-                    if self.fast.try_hit_pin(key) {
-                        *local.fast_pins.entry(key).or_insert(0) += 1;
-                        if self.wal.is_some() {
-                            local.wal_pending.push(WalRecord::PinAcquire {
-                                client,
-                                key,
-                                epoch: self.epoch,
-                            });
-                        }
-                        if digest_on {
-                            // Served instantly: the epoch is a true
-                            // ready point.
-                            local.log.push(AccessRecord {
-                                client,
-                                key,
-                                epoch,
-                                ready: true,
-                            });
-                        }
-                        local.scratch.push_response(&Response::Ready { req_id, key });
-                        continue;
-                    }
-                    // Layer 2: the locked path, one shard lock per key
-                    // (multi-key requests may span shards).
-                    slow_keys += 1;
-                    let now = inner.now();
-                    let s = self.router.shard_of_key(key);
-                    let mut resolved = true;
-                    self.with_shard(
-                        s,
-                        fx,
-                        |core| {
-                            // Register interest before handling so a
-                            // concurrent production cannot race past
-                            // the notification.
-                            core.pending.entry((client, key)).or_default().push(req_id);
-                            let DvCore { dv, actions, .. } = core;
-                            dv.handle_into(now, DvEvent::Acquire { client, key }, actions);
-                        },
-                        |core, fx| {
-                            polluted |= core.dv.take_pollution_signal();
-                            // Still pending after collect? Tell the
-                            // client it is queued, with the wait
-                            // estimate (§III-C).
-                            if core.pending.contains_key(&(client, key)) {
-                                resolved = false;
-                                let est = core
-                                    .dv
-                                    .estimate_wait(key)
-                                    .map_or(0, |d| d.as_nanos() / 1_000_000);
-                                fx.outbox.push((
-                                    client,
-                                    Response::Queued {
-                                        req_id,
-                                        key,
-                                        est_wait_ms: est,
-                                    },
-                                ));
-                            }
-                        },
-                    );
-                    if digest_on {
-                        // A key that stayed pending blocks the client
-                        // until production: its acquire-time epoch is
-                        // not a ready point, so replay must not sample
-                        // the following gap as consumption time.
-                        local.log.push(AccessRecord {
-                            client,
-                            key,
-                            epoch,
-                            ready: resolved,
-                        });
-                    }
-                }
-                if !local.scratch.is_empty() {
-                    cx.write(local.scratch.as_bytes());
-                    local.scratch.clear();
-                }
-                if polluted {
-                    // A §IV-C pollution reset fired in one shard; every
-                    // shard holds its own replica of each client's
-                    // agents, so the reset must reach them all (and set
-                    // their stale-window discards) before the drain
-                    // below replays anything. One lock at a time, as
-                    // always.
-                    for s in 0..self.shards.len() {
-                        self.with_shard(
-                            s,
-                            fx,
-                            |core| core.dv.apply_pollution_reset(),
-                            |_, _| {},
-                        );
-                    }
-                }
-                if slow_keys > 0 {
-                    self.perf
-                        .acquired_slow
-                        .fetch_add(slow_keys, Ordering::Relaxed);
-                    // Piggyback the digest drain on a request that took
-                    // shard locks anyway; pure-hit streams drain from
-                    // the reactor tick instead.
-                    self.drain_digest(inner, local, fx);
-                } else if digest_on && local.log.len() >= DIGEST_HIGH_WATER {
-                    // Adaptive drain: a saturated pure-hit stream can
-                    // overflow the ring between 20 ms ticks; once it
-                    // passes the high-water mark, pay the shard locks
-                    // now instead of dropping the oldest records.
-                    self.drain_digest(inner, local, fx);
-                }
-                if slow_keys > 0 || rejected {
-                    self.commit(inner, fx);
-                } else if !fx.outbox.is_empty() || fx.has_job_control() || !fx.evicts.is_empty() {
-                    // The adaptive drain above may have planned
-                    // prefetch launches; effect them.
-                    self.commit(inner, fx);
-                }
+                self.handle_acquire(inner, client, req_id, keys, None, local, cx, fx);
                 true
             }
             Request::Release { key } => {
-                if self.wal.is_some() {
-                    local.wal_pending.push(WalRecord::PinRelease {
-                        client,
-                        key,
-                        epoch: self.epoch,
-                    });
+                if self.release_pin(inner, client, key, local, fx) {
+                    self.commit(inner, fx);
                 }
-                // Fast pins are released with index atomics alone; pins
-                // taken through the DV (miss productions) release
-                // through the owning shard.
-                if let Some(n) = local.fast_pins.get_mut(&key) {
-                    *n -= 1;
-                    if *n == 0 {
-                        local.fast_pins.remove(&key);
-                    }
-                    self.fast.unpin(key, 1);
-                    return true;
-                }
-                self.transition(inner, DvEvent::Release { client, key }, fx);
-                self.commit(inner, fx);
                 true
             }
             Request::Reassert {
@@ -1586,17 +1365,8 @@ impl CtxRuntime {
                 origin_epoch,
                 keys,
             } => {
-                self.handle_takeover_acquire(
-                    inner,
-                    client,
-                    req_id,
-                    dead_member,
-                    origin_epoch,
-                    keys,
-                    local,
-                    cx,
-                    fx,
-                );
+                let takeover = Some((dead_member, origin_epoch));
+                self.handle_acquire(inner, client, req_id, keys, takeover, local, cx, fx);
                 true
             }
             Request::HandBack { req_id, keys, .. } => {
@@ -1618,21 +1388,13 @@ impl CtxRuntime {
     }
 
     /// A reconnecting client re-claiming the pins it held before its
-    /// connection (or this daemon) died. Three cases, answered per key
-    /// so the client knows exactly what to re-acquire:
-    ///
-    /// * **Same epoch** — the daemon never restarted, so the dropped
-    ///   connection's `ClientGone` already released everything: all
-    ///   keys come back `gone`.
-    /// * **Cross epoch, lease live** — the daemon recovered and holds
-    ///   the prior client's restored pins under a lease: each key still
-    ///   held transfers to the new session (`restored`); keys the
-    ///   recovery could not restore (evicted, or their record was lost
-    ///   to the crash) come back `gone`. The prior identity is then
-    ///   retired with a `ClientGone` broadcast, releasing any restored
-    ///   pins the client no longer wanted.
-    /// * **Cross epoch, lease expired or unknown** — the reaper already
-    ///   released the pins: all keys come back `gone`.
+    /// connection (or this daemon) died. The member core decides the
+    /// outcome per key ([`MemberCore::reassert`]); this handler claims
+    /// the lease under the lease lock, moves pins through the owning
+    /// shards, retires the prior identity with a `ClientGone` broadcast
+    /// when told to, and stages the journal records so the commit's WAL
+    /// pass appends and fsyncs them before the `Reasserted` frame is
+    /// sent.
     #[allow(clippy::too_many_arguments)]
     fn handle_reassert(
         &self,
@@ -1644,213 +1406,171 @@ impl CtxRuntime {
         keys: Vec<u64>,
         fx: &mut Effects,
     ) {
-        let mut restored: Vec<u64> = Vec::new();
-        let mut gone: Vec<(u64, String)> = Vec::new();
-        if prior_epoch == self.epoch {
-            for key in keys {
-                gone.push((
-                    key,
-                    format!(
-                        "same-epoch reconnect: pins of client {prior_client} were released \
-                         when its connection dropped; re-acquire"
-                    ),
-                ));
-            }
-        } else {
-            // Claimed exactly once: a second session presenting the
-            // same prior identity races the first's ClientGone.
-            let lease = {
+        let out = self.member.reassert(
+            client,
+            prior_client,
+            prior_epoch,
+            &keys,
+            |prior| {
                 let _rank = lockrank::held(lockrank::LEASES);
-                self.leases.lock().remove(&prior_client)
-            };
-            let lease_live = lease.is_some_and(|deadline| Instant::now() < deadline);
-            if !lease_live {
-                for key in keys {
-                    gone.push((
-                        key,
-                        format!(
-                            "recovery lease of client {prior_client} (epoch {prior_epoch}) \
-                             expired or unknown; re-acquire"
-                        ),
-                    ));
-                }
-                if lease.is_some() {
-                    // Expired but not yet reaped: release the restored
-                    // pins now instead of leaving them to the reaper's
-                    // next pass (we just took the lease entry it would
-                    // have acted on).
-                    self.leases_expired.fetch_add(1, Ordering::Relaxed);
-                    self.stage_client_gone(fx, prior_client);
-                    self.transition(inner, DvEvent::ClientGone { client: prior_client }, fx);
-                }
-            } else {
-                for key in keys {
-                    let mut moved = false;
-                    self.with_shard(
-                        self.router.shard_of_key(key),
-                        fx,
-                        |core| moved = core.dv.transfer_pin(prior_client, client, key),
-                        |_, _| {},
-                    );
-                    if moved {
-                        restored.push(key);
-                    } else {
-                        gone.push((
-                            key,
-                            format!(
-                                "key {key} was not recovered (evicted, or its pin record \
-                                 was lost to the crash); re-acquire"
-                            ),
-                        ));
-                    }
-                }
-                // Retire the prior identity: releases restored pins the
-                // client did not re-claim, clears stale waiter state.
-                // The transferred pins and the departure go into the
-                // commit's WAL pass as explicit records, appended and
-                // fsynced before the `Reasserted` frame is sent.
-                self.transition(inner, DvEvent::ClientGone { client: prior_client }, fx);
-                if self.wal.is_some() {
-                    for &key in &restored {
-                        fx.wal_records.push(WalRecord::PinAcquire {
-                            client,
-                            key,
-                            epoch: self.epoch,
-                        });
-                    }
-                    fx.wal_records.push(WalRecord::ClientGone {
-                        client: prior_client,
-                        epoch: self.epoch,
-                    });
-                }
-            }
+                self.leases.lock().claim(prior, Instant::now())
+            },
+            |key| {
+                let mut moved = false;
+                self.with_shard(
+                    self.router.shard_of_key(key),
+                    fx,
+                    |core| moved = core.dv.transfer_pin(prior_client, client, key),
+                    |_, _| {},
+                );
+                moved
+            },
+        );
+        if out.lease_expired {
+            self.leases_expired.fetch_add(1, Ordering::Relaxed);
+        }
+        if out.retire_prior {
+            self.transition(inner, DvEvent::ClientGone { client: prior_client }, fx);
+        }
+        if self.wal.is_some() {
+            fx.wal_records.extend(out.wal);
         }
         fx.outbox.push((
             client,
             Response::Reasserted {
                 req_id,
-                epoch: self.epoch,
-                restored,
-                gone,
+                epoch: self.member.epoch,
+                restored: out.restored,
+                gone: out.gone,
             },
         ));
         self.commit(inner, fx);
     }
 
-    /// Serves an explicit takeover acquire: keys of a *dead* member's
-    /// intervals, asserted down by the client and routed here by the
-    /// successor rule. The request-level claim is validated (this
-    /// member must not be the "dead" one; the index must exist), then
-    /// per key: a valid key must actually route to the dead member.
-    /// First touch of a foreign interval rebuilds its residency from
-    /// the shared storage area (the recovery rescan, scoped to one
-    /// interval); from there keys serve exactly like native acquires —
-    /// fast path, shard transitions, re-simulation under *this*
-    /// member's budget — with pins journaled under the takeover tag.
-    /// Takeover keys skip digest observation: this member's prefetch
-    /// agents must not learn trajectories it will hand back.
+    /// Serves an acquire, native or tagged `takeover = Some((dead_member,
+    /// origin_epoch))`: keys of a *dead* member's intervals, asserted
+    /// down by the client and routed here by the successor rule. The
+    /// member core admits the request and each key; the first takeover
+    /// touch of a foreign interval rebuilds its residency from the
+    /// shared storage area (the recovery rescan, scoped to one
+    /// interval). From there every key serves the same way — fast path,
+    /// shard transitions, re-simulation under *this* member's budget —
+    /// and the member core tags takeover pins in the journal.
     #[allow(clippy::too_many_arguments)]
-    fn handle_takeover_acquire(
+    fn handle_acquire(
         &self,
         inner: &Inner,
         client: ClientId,
         req_id: u64,
-        dead_member: u32,
-        origin_epoch: u64,
         keys: Vec<u64>,
+        takeover: Option<(u32, u64)>,
         local: &mut ConnLocal,
         cx: &mut ConnCtx<'_>,
         fx: &mut Effects,
     ) {
-        let reject_all = if !self.cluster.is_clustered() {
-            Some("takeover acquire on an unclustered daemon".to_string())
-        } else if dead_member >= self.cluster.size {
-            Some(format!(
-                "takeover of member {dead_member} (takeover epoch {origin_epoch}): \
-                 cluster has {} members",
-                self.cluster.size
-            ))
-        } else if dead_member == self.cluster.index {
-            Some(format!(
-                "takeover of member {dead_member} (takeover epoch {origin_epoch}): \
-                 that member is this daemon, and it is alive"
-            ))
-        } else {
-            None
-        };
-        if let Some(reason) = reject_all {
-            for key in keys {
-                fx.outbox.push((
-                    client,
-                    Response::Failed {
-                        req_id,
-                        key,
-                        code: FailCode::Other,
-                        reason: reason.clone(),
-                    },
-                ));
-            }
-            self.flush_outbox(fx);
-            return;
-        }
-        self.takeover_acquires.fetch_add(1, Ordering::Relaxed);
-        let mut slow_keys = 0u64;
-        for &key in &keys {
-            if self.steps.valid_key(key) {
-                let owner = self.router_member_of(key);
-                if owner != dead_member {
-                    let reason = if owner == self.cluster.index {
-                        format!(
-                            "key {key} belongs to this member ({owner}); \
-                             acquire it without the takeover tag"
-                        )
-                    } else {
-                        format!(
-                            "key {key} belongs to member {owner}, not to dead member \
-                             {dead_member} (takeover epoch {origin_epoch})"
-                        )
-                    };
+        if let Some((dead_member, origin_epoch)) = takeover {
+            if let Err(reason) = self.member.takeover_admission(dead_member, origin_epoch) {
+                for key in keys {
                     fx.outbox.push((
                         client,
                         Response::Failed {
                             req_id,
                             key,
                             code: FailCode::Other,
-                            reason,
+                            reason: reason.clone(),
                         },
                     ));
-                    continue;
                 }
-                fx.evicts
-                    .extend(self.prime_takeover_interval(self.steps.interval_of(key)));
+                self.flush_outbox(fx);
+                return;
             }
-            // Invalid keys fall through to the DV for the same timeline
-            // error every daemon reports.
+            self.takeover_acquires.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut slow_keys = 0u64;
+        let mut rejected = false;
+        let mut polluted = false;
+        // Observation is a record, not a lock acquisition: in
+        // prefetching contexts every locally observed key — fast or
+        // slow — lands in the connection's digest log, stamped with one
+        // epoch per request (a multi-key acquire is one consumption
+        // point). Takeover keys are not observed: this member's
+        // prefetch agents must not learn trajectories it will hand back.
+        let digest_on = self.digest && local.observe_local && takeover.is_none();
+        let epoch = if digest_on { inner.now().as_nanos() } else { 0 };
+        for &key in &keys {
+            // Layer 0 (clusters only): admission. An untagged key whose
+            // interval another daemon owns is refused (a correctly
+            // routing DVLib never sends one); a takeover key must route
+            // to the dead member. Invalid keys are exempt (no member
+            // owns them): they fall through to the DV for the same
+            // timeline error every daemon reports.
+            let admitted = match takeover {
+                None => self.member.acquire_admission(key),
+                Some((dead_member, origin_epoch)) => self
+                    .member
+                    .takeover_key(key, dead_member, origin_epoch)
+                    .map(|interval| {
+                        if let Some(interval) = interval {
+                            self.prime_takeover_interval(interval, fx);
+                        }
+                    }),
+            };
+            if let Err(reason) = admitted {
+                fx.outbox.push((
+                    client,
+                    Response::Failed {
+                        req_id,
+                        key,
+                        code: FailCode::Other,
+                        reason,
+                    },
+                ));
+                rejected = true;
+                continue;
+            }
+            // Layer 1: the lock-free hit path. A resident key is pinned
+            // through the concurrent index (the pin is eviction-visible
+            // before we reply) and answered straight into this
+            // connection's output buffer — no DV lock, no routing table.
             if self.fast.try_hit_pin(key) {
                 *local.fast_pins.entry(key).or_insert(0) += 1;
                 if self.wal.is_some() {
-                    local.wal_pending.push(WalRecord::TakeoverPin {
+                    local.wal_pending.push(self.member.pin_record(client, key));
+                }
+                if digest_on {
+                    // Served instantly: the epoch is a true ready point.
+                    local.log.push(AccessRecord {
                         client,
                         key,
-                        epoch: self.epoch,
+                        epoch,
+                        ready: true,
                     });
                 }
                 local.scratch.push_response(&Response::Ready { req_id, key });
                 continue;
             }
+            // Layer 2: the locked path, one shard lock per key
+            // (multi-key requests may span shards).
             slow_keys += 1;
             let now = inner.now();
             let s = self.router.shard_of_key(key);
+            let mut resolved = true;
             self.with_shard(
                 s,
                 fx,
                 |core| {
+                    // Register interest before handling so a concurrent
+                    // production cannot race past the notification.
                     core.pending.entry((client, key)).or_default().push(req_id);
                     let DvCore { dv, actions, .. } = core;
                     dv.handle_into(now, DvEvent::Acquire { client, key }, actions);
                 },
                 |core, fx| {
+                    polluted |= core.dv.take_pollution_signal();
+                    // Still pending after collect? Tell the client it
+                    // is queued, with the wait estimate (§III-C).
                     if core.pending.contains_key(&(client, key)) {
+                        resolved = false;
                         let est = core
                             .dv
                             .estimate_wait(key)
@@ -1866,47 +1586,86 @@ impl CtxRuntime {
                     }
                 },
             );
+            if digest_on {
+                // A key that stayed pending blocks the client until
+                // production: its acquire-time epoch is not a ready
+                // point, so replay must not sample the following gap as
+                // consumption time.
+                local.log.push(AccessRecord {
+                    client,
+                    key,
+                    epoch,
+                    ready: resolved,
+                });
+            }
         }
         if !local.scratch.is_empty() {
             cx.write(local.scratch.as_bytes());
             local.scratch.clear();
         }
-        if slow_keys > 0 {
-            self.perf.acquired_slow.fetch_add(slow_keys, Ordering::Relaxed);
+        if polluted {
+            // A §IV-C pollution reset fired in one shard; every shard
+            // holds its own replica of each client's agents, so the
+            // reset must reach them all (and set their stale-window
+            // discards) before the drain below replays anything. One
+            // lock at a time, as always.
+            for s in 0..self.shards.len() {
+                self.with_shard(s, fx, |core| core.dv.apply_pollution_reset(), |_, _| {});
+            }
         }
-        self.commit(inner, fx);
+        if slow_keys > 0 {
+            self.perf
+                .acquired_slow
+                .fetch_add(slow_keys, Ordering::Relaxed);
+            // Piggyback the digest drain on a request that took shard
+            // locks anyway; pure-hit streams drain from the reactor
+            // tick instead.
+            self.drain_digest(inner, local, fx);
+        } else if digest_on && local.log.len() >= DIGEST_HIGH_WATER {
+            // Adaptive drain: a saturated pure-hit stream can overflow
+            // the ring between 20 ms ticks; once it passes the
+            // high-water mark, pay the shard locks now instead of
+            // dropping the oldest records.
+            self.drain_digest(inner, local, fx);
+        }
+        if slow_keys > 0
+            || rejected
+            || !fx.outbox.is_empty()
+            || fx.has_job_control()
+            || !fx.evicts.is_empty()
+        {
+            // Besides slow keys and refusals, the adaptive drain may
+            // have planned prefetch launches and takeover priming may
+            // have evicted: effect them.
+            self.commit(inner, fx);
+        }
     }
 
     /// Rebuilds cache residency for one foreign restart interval from
     /// the shared storage area — the first-takeover-touch half of the
     /// `--recover` rescan, scoped to one interval. Idempotent: primed
-    /// intervals are remembered. Returns the keys the insertions
-    /// evicted under this member's budget, for the caller's deferred
-    /// delete path ([`Effects::evicts`] re-checks under the shard lock).
-    fn prime_takeover_interval(&self, interval: u64) -> Vec<u64> {
+    /// intervals are remembered. The keys the insertions evicted under
+    /// this member's budget join the deferred delete path
+    /// ([`Effects::evicts`] re-checks under the shard lock) — owned
+    /// keys only, like every eviction.
+    fn prime_takeover_interval(&self, interval: u64, fx: &mut Effects) {
         let _rank = lockrank::held(lockrank::TAKEOVER_PRIMED);
         let mut primed = self.takeover_primed.lock();
         if primed.contains(&interval) {
-            return Vec::new();
+            return;
         }
-        let mut evicted = Vec::new();
-        if let Ok(files) = self.storage.list() {
-            for file in files {
-                let Some(key) = self.driver.key_of(&file) else {
-                    continue;
-                };
-                if !self.steps.valid_key(key) || self.steps.interval_of(key) != interval {
-                    continue;
-                }
-                let size = self.storage.size_of(&file).unwrap_or(0);
-                let _shard_rank = lockrank::held(lockrank::DV_SHARD);
-                let mut core = self.shards[self.router.shard_of_key(key)].lock();
-                evicted.extend(core.dv.prime(key, size));
-            }
+        let steps = self.member.steps;
+        let in_interval = |key| steps.valid_key(key) && steps.interval_of(key) == interval;
+        let stored = stored_steps(&self.storage, &*self.driver, in_interval);
+        for (key, size) in stored.unwrap_or_default() {
+            let _shard_rank = lockrank::held(lockrank::DV_SHARD);
+            let mut core = self.shards[self.router.shard_of_key(key)].lock();
+            let evicted = core.dv.prime(key, size);
+            fx.evicts
+                .extend(evicted.into_iter().filter(|&k| self.member.deletes_on_evict(k)));
         }
         primed.insert(interval);
         self.takeover_intervals_primed.fetch_add(1, Ordering::Relaxed);
-        evicted
     }
 
     /// Drains this session's takeover pins for a restarted member: one
@@ -1926,26 +1685,43 @@ impl CtxRuntime {
     ) {
         let released = keys.len() as u64;
         for &key in &keys {
-            if self.wal.is_some() {
-                local.wal_pending.push(WalRecord::PinRelease {
-                    client,
-                    key,
-                    epoch: self.epoch,
-                });
-            }
-            if let Some(n) = local.fast_pins.get_mut(&key) {
-                *n -= 1;
-                if *n == 0 {
-                    local.fast_pins.remove(&key);
-                }
-                self.fast.unpin(key, 1);
-                continue;
-            }
-            self.transition(inner, DvEvent::Release { client, key }, fx);
+            self.release_pin(inner, client, key, local, fx);
         }
         self.takeover_pins_handed_back.fetch_add(released, Ordering::Relaxed);
         fx.outbox.push((client, Response::HandedBack { req_id, released }));
         self.commit(inner, fx);
+    }
+
+    /// Releases one pin count of `client` on `key`, journaled on
+    /// durable contexts. Fast pins are released with index atomics
+    /// alone; pins taken through the DV (miss productions) release
+    /// through the owning shard — the only case that returns `true`
+    /// (the transition's effects await a commit).
+    fn release_pin(
+        &self,
+        inner: &Inner,
+        client: ClientId,
+        key: u64,
+        local: &mut ConnLocal,
+        fx: &mut Effects,
+    ) -> bool {
+        if self.wal.is_some() {
+            local.wal_pending.push(WalRecord::PinRelease {
+                client,
+                key,
+                epoch: self.member.epoch,
+            });
+        }
+        if let Some(n) = local.fast_pins.get_mut(&key) {
+            *n -= 1;
+            if *n == 0 {
+                local.fast_pins.remove(&key);
+            }
+            self.fast.unpin(key, 1);
+            return false;
+        }
+        self.transition(inner, DvEvent::Release { client, key }, fx);
+        true
     }
 
     /// Drains the connection's access log into the prefetch agents
@@ -1964,8 +1740,7 @@ impl CtxRuntime {
         let records = &local.drain_scratch;
         let now = inner.now();
         let router = self.router;
-        let cluster = self.cluster;
-        let steps = self.steps;
+        let MemberCore { cluster, steps, .. } = self.member;
         for s in 0..self.shards.len() {
             self.with_shard(
                 s,
@@ -2011,7 +1786,7 @@ impl CtxRuntime {
         // record rides the commit's WAL pass.
         if self.wal.is_some() {
             local.wal_pending.clear();
-            self.stage_client_gone(fx, client);
+            fx.wal_records.push(self.member.gone_record(client));
         }
         self.transition(inner, DvEvent::ClientGone { client }, fx);
         self.commit(inner, fx);
@@ -2216,7 +1991,7 @@ fn execute_effect_batch(inner: &Inner, mut jobs: Vec<EffectJob>) {
     for ctx in &dirty {
         if let Some(wal) = &ctx.wal {
             let _rank = lockrank::held(lockrank::WAL);
-            wal.lock().sync_and_compact(ctx.epoch);
+            wal.lock().sync_and_compact(ctx.member.epoch);
         }
     }
     for job in jobs {
@@ -2371,14 +2146,9 @@ impl DvServer {
             // evict.
             let steps = config.ctx.steps;
             let mut evicted = Vec::new();
-            for file in config.storage.list()? {
-                if let Some(key) = config.driver.key_of(&file) {
-                    if !cluster.owns_key(&steps, key) {
-                        continue;
-                    }
-                    let size = config.storage.size_of(&file).unwrap_or(0);
-                    evicted.extend(shards[router.shard_of_key(key)].prime(key, size));
-                }
+            let owned = |key| cluster.owns_key(&steps, key);
+            for (key, size) in stored_steps(&config.storage, &*config.driver, owned)? {
+                evicted.extend(shards[router.shard_of_key(key)].prime(key, size));
             }
 
             // Tier 1b: open the WAL (one per cluster member, named so
@@ -2389,7 +2159,7 @@ impl DvServer {
             let mut wal = None;
             let mut epoch = 0u64;
             let mut wal_replayed = 0u64;
-            let mut leases: HashMap<u64, Instant> = HashMap::new();
+            let mut leases = Leases::default();
             if config.durability.wal {
                 let path = config
                     .storage
@@ -2397,42 +2167,25 @@ impl DvServer {
                     .join(format!("dv-member-{}.wal", cluster.index));
                 let (mut log, records, report) = WriteAheadLog::open(path)?;
                 wal_replayed = report.records;
-                let replayed = WalState::replay(&records);
-                // Strictly above every epoch the log has seen, even
-                // without recovery — a cross-epoch reassert must never
-                // be mistaken for a same-instance reconnect.
-                epoch = replayed.epoch + 1;
-                let mut state = WalState {
-                    epoch,
-                    ..WalState::default()
-                };
-                if config.durability.recover {
-                    // Priming already rebuilt the cache directory from
-                    // the storage area; restore each replayed pin whose
-                    // key is actually resident (one restore per count).
-                    let deadline = Instant::now() + config.durability.lease_timeout;
-                    let mut pins: Vec<(&(u64, u64), &u32)> = replayed.pins.iter().collect();
-                    pins.sort_unstable();
-                    for (&(client, key), &count) in pins {
-                        let shard = &mut shards[router.shard_of_key(key)];
-                        for _ in 0..count {
-                            if !shard.restore_pin(client, key) {
-                                break;
-                            }
-                            *state.pins.entry((client, key)).or_insert(0) += 1;
-                        }
-                    }
-                    for client in state.live_clients() {
-                        state.leases.push(client);
-                        leases.insert(client, deadline);
-                        next_client_floor = next_client_floor.max(client + 1);
-                    }
+                // Priming already rebuilt the cache directory from the
+                // storage area: a replayed pin is restored iff its key
+                // is resident (one restore per count).
+                let recovery = member::recover(&records, config.durability.recover, |client, key| {
+                    shards[router.shard_of_key(key)].restore_pin(client, key)
+                });
+                epoch = recovery.epoch;
+                leases.grant(
+                    &recovery.state.leases,
+                    Instant::now() + config.durability.lease_timeout,
+                );
+                if let Some(&last) = recovery.state.leases.last() {
+                    next_client_floor = next_client_floor.max(last + 1);
                 }
-                // Checkpoint: the log now holds exactly the recovered
-                // state under the new epoch — replay cost is bounded by
-                // live pins, not daemon uptime.
-                log.compact(&state.snapshot(epoch))?;
-                wal = Some(Mutex::new(DaemonWal { log, state }));
+                log.compact(&recovery.snapshot)?;
+                wal = Some(Mutex::new(DaemonWal {
+                    log,
+                    state: recovery.state,
+                }));
             }
             let runtime = Arc::new_cyclic(|weak_self| CtxRuntime {
                 name: name.clone(),
@@ -2448,8 +2201,11 @@ impl DvServer {
                     })
                     .collect(),
                 router,
-                cluster,
-                steps,
+                member: MemberCore {
+                    cluster,
+                    steps,
+                    epoch,
+                },
                 fast,
                 digest,
                 perf: LockPerf::default(),
@@ -2462,7 +2218,6 @@ impl DvServer {
                 checksums: config.checksums,
                 accept_retries: Arc::clone(&accept_retries),
                 wal,
-                epoch,
                 wal_replayed,
                 leases: Mutex::new(leases),
                 client_reconnects: AtomicU64::new(0),
@@ -2848,9 +2603,9 @@ impl crate::reactor::Handler for EpollConn {
                 // cadences). `None` (solo tools, simulators) skips the
                 // check: they route nothing.
                 if let Some(m) = membership {
-                    let want_hash = runtime.steps.config_hash();
-                    if m.index != runtime.cluster.index
-                        || m.size != runtime.cluster.size
+                    let want_hash = runtime.member.steps.config_hash();
+                    if m.index != runtime.member.cluster.index
+                        || m.size != runtime.member.cluster.size
                         || m.steps_hash != want_hash
                     {
                         direct_frame(
@@ -2863,8 +2618,8 @@ impl crate::reactor::Handler for EpollConn {
                                     m.index,
                                     m.size,
                                     m.steps_hash,
-                                    runtime.cluster.index,
-                                    runtime.cluster.size,
+                                    runtime.member.cluster.index,
+                                    runtime.member.cluster.size,
                                     want_hash
                                 ),
                             },
@@ -2889,7 +2644,7 @@ impl crate::reactor::Handler for EpollConn {
                             cx,
                             &Response::HelloOk {
                                 client_id: client,
-                                epoch: runtime.epoch,
+                                epoch: runtime.member.epoch,
                             },
                         );
                         let mut local = ConnLocal::new();
@@ -2911,7 +2666,7 @@ impl crate::reactor::Handler for EpollConn {
                             cx,
                             &Response::HelloOk {
                                 client_id: sim_id,
-                                epoch: runtime.epoch,
+                                epoch: runtime.member.epoch,
                             },
                         );
                         self.state = ConnState::Simulator {
@@ -3002,6 +2757,23 @@ impl crate::reactor::Handler for EpollConn {
             } => runtime.simulator_disconnect(&self.inner, sim, finished, &mut fx),
         }
     }
+}
+
+/// The materialized output steps in `storage` that `wanted` selects,
+/// as `(key, size)`.
+fn stored_steps(
+    storage: &StorageArea,
+    driver: &dyn SimDriver,
+    wanted: impl Fn(u64) -> bool,
+) -> io::Result<Vec<(u64, u64)>> {
+    let files = storage.list()?;
+    Ok(files
+        .iter()
+        .filter_map(|file| {
+            let key = driver.key_of(file).filter(|&key| wanted(key))?;
+            Some((key, storage.size_of(file).unwrap_or(0)))
+        })
+        .collect())
 }
 
 fn unknown_context_error(inner: &Inner, context: &str) -> Response {

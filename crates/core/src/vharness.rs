@@ -5,12 +5,15 @@
 //! it until the DV's re-simulations produce the step. Launch actions
 //! become scheduled production streams — queueing delay plus restart
 //! latency `alpha_sim`, then one `FileProduced` every `tau_sim` — and
-//! kill actions cancel them. A [`simbatch::Cluster`] tracks node usage
-//! for the figure annotations.
+//! kill actions cancel them. Peak node usage for the figure annotations
+//! is the peak of concurrent re-simulation jobs times `nodes_per_sim`.
 //!
 //! Everything is deterministic given the experiment seed.
 //!
-//! [`FaultedClusterExperiment`] extends the harness into a scripted
+//! One engine runs every experiment. A [`VirtualExperiment`] is a
+//! one-member, fault-free [`FaultedClusterExperiment`] whose analysis
+//! holds only the step it consumes and whose member runs no
+//! supervision wake-ups. The faulted experiment is a scripted
 //! fault-injection rig: a K-member virtual DV cluster (one
 //! [`DataVirtualizer`] per member over one shared virtual storage set,
 //! each journaling pins/leases to an in-memory WAL) driven by a
@@ -19,6 +22,14 @@
 //! partition is `DelayMember` over a subset). Faults fire at exact
 //! virtual times, so every crash/recovery interleaving is replayable
 //! bit-for-bit and can be asserted equivalent to a faultless run.
+//!
+//! The members run the shipped member-protocol core
+//! ([`crate::member`]): journal recovery, recovery leases, `Reassert`
+//! outcomes, takeover admission, pin-record choice and the
+//! eviction-ownership rule are the daemon's own code. The harness
+//! supplies only virtual I/O — the shared storage map, scheduled sims,
+//! fault arming — plus the client half (`DvCluster`'s failover and
+//! hand-back, mirrored).
 //!
 //! Besides whole-member faults, the plan can script *production*
 //! faults against the DV's supervision tier: [`Fault::FailSim`]
@@ -35,10 +46,11 @@ use crate::dv::{
     ClusterMember, DataVirtualizer, DvAction, DvEvent, DvRouter, DvStats, FailCode, ShardedDv,
     SimId,
 };
+use crate::member::{self, Leases, MemberCore};
 use crate::model::ContextCfg;
-use simbatch::{Cluster, JobId, QueueModel};
+use simbatch::QueueModel;
 use simkit::{Dur, Engine, SeedSeq, SimRng, SimTime};
-use simstore::walog::{WalRecord, WalState};
+use simstore::walog::WalRecord;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// One virtual-time experiment configuration.
@@ -52,7 +64,7 @@ pub struct VirtualExperiment {
     pub tau_sim: Dur,
     /// Additional job queueing delay distribution.
     pub queue: QueueModel,
-    /// Nodes per re-simulation (cluster accounting, figure annotations).
+    /// Nodes per re-simulation (peak-node figure annotations).
     pub nodes_per_sim: u32,
     /// Experiment seed.
     pub seed: u64,
@@ -73,37 +85,12 @@ pub struct AnalysisResult {
 
 const ANALYSIS_CLIENT: u64 = 1;
 
-struct RunningSim {
-    keys_end: u64,
-    next_key: u64,
-    killed: bool,
-}
-
-struct World {
-    dv: DataVirtualizer,
-    cluster: Cluster,
-    sims: HashMap<SimId, RunningSim>,
-    rng: SimRng,
-    exp: ExpParams,
-    accesses: Vec<u64>,
-    /// Next access index to issue.
-    cursor: usize,
-    /// Key the analysis is currently blocked on.
-    waiting_for: Option<u64>,
-    /// Previously consumed key, released at the next access.
-    last_consumed: Option<u64>,
-    done_at: Option<SimTime>,
-    peak_sims: u32,
-    failed: Vec<u64>,
-}
-
 #[derive(Clone, Copy)]
 struct ExpParams {
     alpha_sim: Dur,
     tau_sim: Dur,
     tau_cli: Dur,
     queue: QueueModel,
-    nodes_per_sim: u32,
     output_bytes: u64,
 }
 
@@ -115,52 +102,23 @@ impl VirtualExperiment {
     /// Panics if the run deadlocks (an access never gets served) — that
     /// would be a DV logic bug, not an experiment outcome.
     pub fn run_analysis(&self, accesses: &[u64], tau_cli: Dur) -> AnalysisResult {
-        assert!(!accesses.is_empty(), "empty analysis");
-        let mut dv = DataVirtualizer::new(self.cfg.clone());
-        // The context configuration carries performance priors (§IV-A);
-        // seed the estimators like a deployed SimFS would be.
-        dv.seed_estimates(self.alpha_sim + self.queue.mean(), self.tau_sim);
-        let cluster_nodes = (self.cfg.smax * self.nodes_per_sim).max(self.nodes_per_sim);
-        let mut world = World {
-            dv,
-            cluster: Cluster::new(cluster_nodes),
-            sims: HashMap::new(),
-            rng: SeedSeq::new(self.seed).rng(0),
-            exp: ExpParams {
-                alpha_sim: self.alpha_sim,
-                tau_sim: self.tau_sim,
-                tau_cli,
-                queue: self.queue,
-                nodes_per_sim: self.nodes_per_sim,
-                output_bytes: self.cfg.output_bytes,
-            },
-            accesses: accesses.to_vec(),
-            cursor: 0,
-            waiting_for: None,
-            last_consumed: None,
-            done_at: None,
-            peak_sims: 0,
-            failed: Vec::new(),
+        let exp = FaultedClusterExperiment {
+            cfg: self.cfg.clone(),
+            members: 1,
+            alpha_sim: self.alpha_sim,
+            tau_sim: self.tau_sim,
+            queue: self.queue,
+            lease_timeout: Dur::ZERO,
+            pin_window: 0,
+            failover: false,
+            seed: self.seed,
         };
-
-        let mut engine: Engine<World> = Engine::new();
-        engine.schedule_at(SimTime::ZERO, |en, w: &mut World| next_access(en, w));
-        engine.run(&mut world);
-
-        let done_at = world.done_at.unwrap_or_else(|| {
-            panic!(
-                "analysis deadlocked at access {}/{} (key {:?}, failed: {:?})",
-                world.cursor,
-                world.accesses.len(),
-                world.waiting_for,
-                world.failed
-            )
-        });
+        let rep = exp.run_world(accesses, tau_cli, &FaultPlan::default(), false);
         AnalysisResult {
-            completion: done_at.saturating_since(SimTime::ZERO),
-            stats: world.dv.stats().clone(),
-            peak_nodes: world.cluster.peak_used(),
-            peak_sims: world.peak_sims,
+            completion: rep.completion,
+            stats: rep.stats,
+            peak_nodes: rep.peak_jobs * self.nodes_per_sim,
+            peak_sims: rep.peak_sims,
         }
     }
 
@@ -183,139 +141,6 @@ impl VirtualExperiment {
         let alpha = self.alpha_sim + self.queue.mean();
         let b = self.cfg.steps.outputs_per_interval();
         alpha.saturating_mul(2) + self.tau_sim.saturating_mul(b)
-    }
-}
-
-/// Issues the next analysis access (releasing the previous key).
-fn next_access(en: &mut Engine<World>, w: &mut World) {
-    if let Some(prev) = w.last_consumed.take() {
-        let actions = w.dv.handle(en.now(), DvEvent::Release {
-            client: ANALYSIS_CLIENT,
-            key: prev,
-        });
-        apply_actions(en, w, actions);
-    }
-    if w.cursor >= w.accesses.len() {
-        w.done_at = Some(en.now());
-        return;
-    }
-    let key = w.accesses[w.cursor];
-    w.cursor += 1;
-    let actions = w.dv.handle(en.now(), DvEvent::Acquire {
-        client: ANALYSIS_CLIENT,
-        key,
-    });
-    let mut ready = false;
-    let mut failed = false;
-    for a in &actions {
-        match a {
-            DvAction::NotifyReady {
-                client: ANALYSIS_CLIENT,
-                key: k,
-            } if *k == key => ready = true,
-            DvAction::NotifyFailed { key: k, .. } if *k == key => failed = true,
-            _ => {}
-        }
-    }
-    apply_actions(en, w, actions);
-    if failed {
-        w.failed.push(key);
-        // Skip the unservable key (out-of-timeline accesses in clamped
-        // traces) and move on.
-        en.schedule_in(Dur::ZERO, next_access);
-    } else if ready {
-        consume(en, w, key);
-    } else {
-        w.waiting_for = Some(key);
-    }
-}
-
-/// The analysis consumes `key` for `tau_cli`, then issues the next
-/// access.
-fn consume(en: &mut Engine<World>, w: &mut World, key: u64) {
-    w.last_consumed = Some(key);
-    en.schedule_in(w.exp.tau_cli, next_access);
-}
-
-/// Applies DV actions to the virtual world.
-fn apply_actions(en: &mut Engine<World>, w: &mut World, actions: Vec<DvAction>) {
-    for action in actions {
-        match action {
-            DvAction::NotifyReady { client, key } => {
-                debug_assert_eq!(client, ANALYSIS_CLIENT);
-                if w.waiting_for == Some(key) {
-                    w.waiting_for = None;
-                    consume(en, w, key);
-                }
-            }
-            DvAction::NotifyFailed { key, .. } => {
-                if w.waiting_for == Some(key) {
-                    w.waiting_for = None;
-                    w.failed.push(key);
-                    en.schedule_in(Dur::ZERO, next_access);
-                }
-            }
-            DvAction::Launch { sim, keys, .. } => {
-                w.sims.insert(
-                    sim,
-                    RunningSim {
-                        keys_end: *keys.end(),
-                        next_key: *keys.start(),
-                        killed: false,
-                    },
-                );
-                w.peak_sims = w.peak_sims.max(w.dv.active_sims() as u32);
-                let events = w.cluster.submit(JobId(sim), w.exp.nodes_per_sim);
-                debug_assert!(!events.is_empty(), "harness cluster never queues");
-                let delay = w.exp.queue.sample(&mut w.rng) + w.exp.alpha_sim;
-                en.schedule_in(delay, move |en, w: &mut World| sim_started(en, w, sim));
-            }
-            DvAction::Kill { sim } => {
-                if let Some(s) = w.sims.get_mut(&sim) {
-                    s.killed = true;
-                }
-                w.cluster.cancel(JobId(sim));
-            }
-            DvAction::Evict { .. } => {
-                // Virtual storage: nothing to delete.
-            }
-        }
-    }
-}
-
-fn sim_started(en: &mut Engine<World>, w: &mut World, sim: SimId) {
-    if w.sims.get(&sim).is_none_or(|s| s.killed) {
-        return;
-    }
-    let actions = w.dv.handle(en.now(), DvEvent::SimStarted { sim });
-    apply_actions(en, w, actions);
-    en.schedule_in(w.exp.tau_sim, move |en, w: &mut World| produce(en, w, sim));
-}
-
-fn produce(en: &mut Engine<World>, w: &mut World, sim: SimId) {
-    let Some(s) = w.sims.get_mut(&sim) else {
-        return;
-    };
-    if s.killed {
-        w.sims.remove(&sim);
-        return;
-    }
-    let key = s.next_key;
-    s.next_key += 1;
-    let finished = s.next_key > s.keys_end;
-    let actions = w.dv.handle(en.now(), DvEvent::FileProduced {
-        sim,
-        key,
-        size: w.exp.output_bytes,
-    });
-    apply_actions(en, w, actions);
-    if finished {
-        w.sims.remove(&sim);
-        w.cluster.finish(JobId(sim));
-        let actions = w.dv.handle(en.now(), DvEvent::SimFinished { sim });
-        apply_actions(en, w, actions);
-    } else {
-        en.schedule_in(w.exp.tau_sim, move |en, w: &mut World| produce(en, w, sim));
     }
 }
 
@@ -413,7 +238,7 @@ pub struct FaultPlan {
 }
 
 /// Outcome of one faulted cluster run.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultReport {
     /// Keys served (ready), in service order. Retried accesses appear
     /// once — service, not attempts.
@@ -453,6 +278,12 @@ pub struct FaultReport {
     /// still alive at the end of the run (a crashed member's counters
     /// die with it, exactly as in the real daemon).
     pub stats: DvStats,
+    /// Peak concurrent re-simulations the members' DVs count active,
+    /// sampled at each launch.
+    pub peak_sims: u32,
+    /// Peak concurrent re-simulation jobs (launched, neither finished
+    /// nor killed) — the node-usage basis of the figure annotations.
+    pub peak_jobs: u32,
     /// Supervision state left behind once every event has drained:
     /// running sims + queued launches + pending-production claims +
     /// un-notified waiters, summed over live members. Any non-zero
@@ -479,8 +310,9 @@ pub struct FaultedClusterExperiment {
     /// How long a recovered pin waits for its client to re-assert.
     pub lease_timeout: Dur,
     /// The analysis' pinned working set: how many consumed steps stay
-    /// pinned before the oldest is released. A window > 1 is what makes
-    /// crash-time pins worth re-asserting after recovery.
+    /// pinned before the oldest is released (`0`: each is released as
+    /// the next access issues). A window > 1 is what makes crash-time
+    /// pins worth re-asserting after recovery.
     pub pin_window: usize,
     /// Interval failover (mirrors `DvCluster::set_failover`): when a
     /// member is crashed (not merely delayed), its intervals are served
@@ -502,8 +334,9 @@ struct VMember {
     /// Durable pin/lease journal — the in-memory stand-in for the
     /// real daemon's WAL file. Survives crashes.
     journal: Vec<WalRecord>,
-    /// Recovery epoch (bumped on every restart).
-    epoch: u64,
+    /// The shipped member-protocol core; its recovery epoch is bumped
+    /// on every restart.
+    core: MemberCore,
     /// Restart generation: stale scheduled events (sims launched by a
     /// previous incarnation) check this and die.
     incarnation: u64,
@@ -517,7 +350,7 @@ struct VMember {
     /// The session must re-handshake before the next request.
     needs_reconnect: bool,
     /// Recovery leases: prior client → expiry deadline.
-    leases: HashMap<u64, SimTime>,
+    leases: Leases<SimTime>,
     /// Unreachable until this time ([`Fault::DelayMember`]).
     delayed_until: SimTime,
     /// Armed [`Fault::FailSim`] crashes left (`u64::MAX` = persistent).
@@ -558,16 +391,13 @@ struct FaultWorld {
     /// Consumed keys still pinned, oldest first.
     release_queue: VecDeque<u64>,
     pin_window: usize,
+    /// Arm the members' supervision wake-ups.
+    supervise: bool,
     done_at: Option<SimTime>,
     next_client: u64,
-    served: Vec<u64>,
-    failed: Vec<u64>,
-    failed_codes: Vec<FailCode>,
-    reconnects: u64,
-    pins_reasserted: u64,
-    pins_recovered: u64,
-    wal_replayed: u64,
-    leases_expired: u64,
+    /// The outcome so far: counters and served/failed keys accumulate
+    /// here; `run` fills in the end-of-run fields.
+    report: FaultReport,
     /// Interval failover enabled (opt-in).
     failover: bool,
     /// Members the virtual client has declared down.
@@ -577,10 +407,6 @@ struct FaultWorld {
     /// Foreign intervals each member has primed as a taker. Cleared
     /// when that member crashes (its primed cache dies with it).
     taken_intervals: Vec<HashSet<u64>>,
-    takeover_epoch: u64,
-    takeovers: u64,
-    takeover_intervals_primed: u64,
-    pins_handed_back: u64,
 }
 
 impl FaultedClusterExperiment {
@@ -592,6 +418,19 @@ impl FaultedClusterExperiment {
     /// restarted while un-served accesses still route to it. That is a
     /// plan bug (or a DV recovery bug), not an experiment outcome.
     pub fn run(&self, accesses: &[u64], tau_cli: Dur, plan: &FaultPlan) -> FaultReport {
+        self.run_world(accesses, tau_cli, plan, true)
+    }
+
+    /// [`run`](Self::run), with the members' supervision wake-ups
+    /// (the daemon reaper's watchdog, backoff and quarantine timers)
+    /// on or off.
+    fn run_world(
+        &self,
+        accesses: &[u64],
+        tau_cli: Dur,
+        plan: &FaultPlan,
+        supervise: bool,
+    ) -> FaultReport {
         assert!(!accesses.is_empty(), "empty analysis");
         let k = self.members.max(1);
         let members = (0..k)
@@ -601,13 +440,17 @@ impl FaultedClusterExperiment {
                 VMember {
                     dv: Some(dv),
                     journal: Vec::new(),
-                    epoch: 0,
+                    core: MemberCore {
+                        cluster: ClusterMember::new(index, k),
+                        steps: self.cfg.steps,
+                        epoch: 0,
+                    },
                     incarnation: 0,
                     client: ANALYSIS_CLIENT,
                     connected_epoch: 0,
                     held: HashMap::new(),
                     needs_reconnect: false,
-                    leases: HashMap::new(),
+                    leases: Leases::default(),
                     delayed_until: SimTime::ZERO,
                     fail_next: 0,
                     hang_next: 0,
@@ -627,7 +470,6 @@ impl FaultedClusterExperiment {
                 tau_sim: self.tau_sim,
                 tau_cli,
                 queue: self.queue,
-                nodes_per_sim: 1,
                 output_bytes: self.cfg.output_bytes,
             },
             cfg: self.cfg.clone(),
@@ -637,25 +479,15 @@ impl FaultedClusterExperiment {
             cursor: 0,
             waiting_for: None,
             release_queue: VecDeque::new(),
-            pin_window: self.pin_window.max(1),
+            pin_window: self.pin_window,
+            supervise,
             done_at: None,
             next_client: ANALYSIS_CLIENT + 1,
-            served: Vec::new(),
-            failed: Vec::new(),
-            failed_codes: Vec::new(),
-            reconnects: 0,
-            pins_reasserted: 0,
-            pins_recovered: 0,
-            wal_replayed: 0,
-            leases_expired: 0,
+            report: FaultReport::default(),
             failover: self.failover,
             down: vec![false; k as usize],
             taken_over: HashMap::new(),
             taken_intervals: vec![HashSet::new(); k as usize],
-            takeover_epoch: 0,
-            takeovers: 0,
-            takeover_intervals_primed: 0,
-            pins_handed_back: 0,
         };
 
         let mut engine: Engine<FaultWorld> = Engine::new();
@@ -708,42 +540,26 @@ impl FaultedClusterExperiment {
 
         let done_at = world.done_at.unwrap_or_else(|| {
             panic!(
-                "faulted analysis deadlocked at access {}/{} (waiting {:?}, failed {:?})",
+                "analysis deadlocked at access {}/{} (waiting {:?}, failed {:?})",
                 world.cursor,
                 world.accesses.len(),
                 world.waiting_for,
-                world.failed
+                world.report.failed
             )
         });
-        let mut stats = DvStats::default();
-        let mut residue = 0u64;
-        for m in &world.members {
+        let mut report = world.report;
+        report.completion = done_at.saturating_since(SimTime::ZERO);
+        for m in world.members {
             if let Some(dv) = &m.dv {
-                stats.accumulate(dv.stats());
-                residue += (dv.active_sims()
+                report.stats.accumulate(dv.stats());
+                report.residue += (dv.active_sims()
                     + dv.queued_launches()
                     + dv.pending_keys()
                     + dv.waiting_keys()) as u64;
             }
+            report.journals.push(m.journal);
         }
-        FaultReport {
-            served: world.served,
-            failed: world.failed,
-            failed_codes: world.failed_codes,
-            completion: done_at.saturating_since(SimTime::ZERO),
-            reconnects: world.reconnects,
-            pins_reasserted: world.pins_reasserted,
-            pins_recovered: world.pins_recovered,
-            wal_replayed: world.wal_replayed,
-            leases_expired: world.leases_expired,
-            takeovers: world.takeovers,
-            takeover_intervals_primed: world.takeover_intervals_primed,
-            pins_handed_back: world.pins_handed_back,
-            takeover_epoch: world.takeover_epoch,
-            journals: world.members.iter().map(|m| m.journal.clone()).collect(),
-            stats,
-            residue,
-        }
+        report
     }
 }
 
@@ -783,75 +599,42 @@ fn crash_member(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
 }
 
 /// Restart after a crash: re-prime owned resident steps from the
-/// shared storage, then (with `recover`) replay the journal — restore
-/// pins under prior client ids, grant recovery leases, compact.
+/// shared storage, then run the member core's recovery over the journal
+/// — with `recover` it restores pins under prior client ids and leases
+/// their owners — and compact.
 fn restart_member(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, recover: bool) {
     assert!(w.members[m].dv.is_none(), "restarting a live member");
     let mut dv = fresh_member_dv(&w.cfg, m as u32, w.cluster_size);
     dv.seed_estimates(w.exp.alpha_sim + w.exp.queue.mean(), w.exp.tau_sim);
-    let mut owned: Vec<(u64, u64)> = w
-        .storage
-        .iter()
-        .filter(|&(&key, _)| w.router.shard_of_key(key) == m)
-        .map(|(&key, &size)| (key, size))
-        .collect();
-    owned.sort_unstable();
-    for (key, size) in owned {
-        for evicted in dv.prime(key, size) {
-            w.storage.remove(&evicted);
-        }
-    }
-
+    let core = w.members[m].core;
+    prime_from_storage(w, m, &mut dv, |key| core.cluster.owns_key(&core.steps, key));
     let member = &mut w.members[m];
-    let replayed = WalState::replay(&member.journal);
-    w.wal_replayed += member.journal.len() as u64;
-    member.epoch = replayed.epoch + 1;
-    let mut state = WalState {
-        epoch: member.epoch,
-        ..WalState::default()
-    };
-    if recover {
-        let mut pins: Vec<(&(u64, u64), &u32)> = replayed.pins.iter().collect();
-        pins.sort_unstable();
-        for (&(client, key), &count) in pins {
-            for _ in 0..count {
-                if !dv.restore_pin(client, key) {
-                    break;
-                }
-                w.pins_recovered += 1;
-                *state.pins.entry((client, key)).or_insert(0) += 1;
-            }
-        }
+    w.report.wal_replayed += member.journal.len() as u64;
+    let recovery = member::recover(&member.journal, recover, |client, key| {
+        dv.restore_pin(client, key)
+    });
+    w.report.pins_recovered += recovery.pins_restored;
+    member.core.epoch = recovery.epoch;
+    if !recovery.state.leases.is_empty() {
         let deadline = en.now() + w.lease_timeout;
-        for client in state.live_clients() {
-            state.leases.push(client);
-            member.leases.insert(client, deadline);
-            en.schedule_at(deadline, move |_en, w: &mut FaultWorld| {
-                expire_lease(w, m, client, deadline)
-            });
-        }
+        member.leases.grant(&recovery.state.leases, deadline);
+        en.schedule_at(deadline, move |en, w: &mut FaultWorld| expire_leases(en, w, m));
     }
-    member.journal = state.snapshot(member.epoch);
+    member.journal = recovery.snapshot;
     member.tick_at = None;
     member.dv = Some(dv);
 }
 
-/// Recovery lease expiry: the prior client never re-asserted — release
-/// its restored pins through the normal `ClientGone` path.
-fn expire_lease(w: &mut FaultWorld, m: usize, client: u64, deadline: SimTime) {
-    let member = &mut w.members[m];
-    // The lease may have been claimed by a re-assertion, or replaced by
-    // a later incarnation's recovery: only the exact grant expires.
-    if member.leases.get(&client) != Some(&deadline) {
-        return;
-    }
-    member.leases.remove(&client);
-    w.leases_expired += 1;
-    let epoch = member.epoch;
-    member.journal.push(WalRecord::ClientGone { client, epoch });
-    if let Some(dv) = member.dv.as_mut() {
-        // Lease expiry launches nothing: releases at most unpin.
-        let _ = dv.handle(deadline, DvEvent::ClientGone { client });
+/// The reaper's lease pass: every lease past its deadline (never
+/// claimed by a re-assertion, not replaced by a later incarnation)
+/// releases its restored pins through the normal `ClientGone` path.
+fn expire_leases(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
+    let now = en.now();
+    for client in w.members[m].leases.expire(now) {
+        w.report.leases_expired += 1;
+        let member = &mut w.members[m];
+        member.journal.push(member.core.gone_record(client));
+        member_event(en, w, m, DvEvent::ClientGone { client });
     }
 }
 
@@ -859,15 +642,13 @@ fn expire_lease(w: &mut FaultWorld, m: usize, client: u64, deadline: SimTime) {
 /// the session's pins; the client re-handshakes on next use.
 fn drop_connection(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
     let member = &mut w.members[m];
-    let Some(dv) = member.dv.as_mut() else {
+    if member.dv.is_none() {
         return; // already crashed: nothing to drop
-    };
+    }
     let client = member.client;
-    let epoch = member.epoch;
-    member.journal.push(WalRecord::ClientGone { client, epoch });
-    let actions = dv.handle(en.now(), DvEvent::ClientGone { client });
+    member.journal.push(member.core.gone_record(client));
     member.needs_reconnect = true;
-    apply_member_actions(en, w, m, actions);
+    member_event(en, w, m, DvEvent::ClientGone { client });
     if let Some((wm, _, _)) = w.waiting_for {
         if wm == m {
             // The blocked request died with the connection.
@@ -878,79 +659,56 @@ fn drop_connection(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
     }
 }
 
-/// Re-handshake with member `m` if the previous connection died:
-/// cross-epoch sessions re-assert held pins (the daemon transfers what
-/// recovery restored under a live lease), same-epoch sessions know the
-/// daemon already released everything.
+/// Re-handshake with member `m` if the previous connection died, then
+/// re-assert every held pin (one key per count) under the prior
+/// identity. The member core decides what comes back: nothing on a
+/// reconnect in the same epoch (the hangup's `ClientGone` already
+/// released everything), what recovery restored under a live lease
+/// across a restart.
 fn ensure_session(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
     if !w.members[m].needs_reconnect {
         return;
     }
     let now = en.now();
-    w.reconnects += 1;
-    let prior = w.members[m].client;
+    w.report.reconnects += 1;
     let new_client = w.next_client;
     w.next_client += 1;
     let member = &mut w.members[m];
-    let restarted = member.connected_epoch != member.epoch;
+    let (prior, prior_epoch) = (member.client, member.connected_epoch);
     member.client = new_client;
-    member.connected_epoch = member.epoch;
+    member.connected_epoch = member.core.epoch;
     member.needs_reconnect = false;
-    let epoch = member.epoch;
-    if !restarted {
-        // Same instance: the hangup's ClientGone already dropped the
-        // pins; the client simply forgets them (and re-acquires lazily
-        // on its next access — for this analysis, the release that was
-        // coming anyway).
-        member.held.clear();
-        return;
-    }
-    let lease = member.leases.remove(&prior);
-    if lease.is_none_or(|deadline| now >= deadline) {
-        member.held.clear();
-        if lease.is_some() {
-            // Claimed an already-expired (to-the-instant) lease: its
-            // scheduled expiry will no-op, so release the restored
-            // pins here — they must not outlive the lease.
-            w.leases_expired += 1;
-            member.journal.push(WalRecord::ClientGone { client: prior, epoch });
-            let actions = member
-                .dv
-                .as_mut()
+    let mut keys: Vec<u64> = member
+        .held
+        .drain()
+        .flat_map(|(key, count)| std::iter::repeat_n(key, count as usize))
+        .collect();
+    keys.sort_unstable();
+    let VMember { core, leases, dv, .. } = member;
+    let out = core.reassert(
+        new_client,
+        prior,
+        prior_epoch,
+        &keys,
+        |client| leases.claim(client, now),
+        |key| {
+            dv.as_mut()
                 .expect("reachable member has a DV")
-                .handle(now, DvEvent::ClientGone { client: prior });
-            apply_member_actions(en, w, m, actions);
-        }
-        return;
+                .transfer_pin(prior, new_client, key)
+        },
+    );
+    w.report.pins_reasserted += out.restored.len() as u64;
+    if out.lease_expired {
+        w.report.leases_expired += 1;
     }
-    let mut held: Vec<(u64, u32)> = member.held.drain().collect();
-    held.sort_unstable();
-    let dv = member.dv.as_mut().expect("reachable member has a DV");
-    let mut restored: HashMap<u64, u32> = HashMap::new();
-    for (key, count) in held {
-        for _ in 0..count {
-            if dv.transfer_pin(prior, new_client, key) {
-                w.pins_reasserted += 1;
-                *restored.entry(key).or_insert(0) += 1;
-            }
-        }
-    }
-    let actions = dv.handle(now, DvEvent::ClientGone { client: prior });
-    let mut log: Vec<(u64, u32)> = restored.iter().map(|(&k, &c)| (k, c)).collect();
-    log.sort_unstable();
     let member = &mut w.members[m];
-    for (key, count) in log {
-        for _ in 0..count {
-            member.journal.push(WalRecord::PinAcquire {
-                client: new_client,
-                key,
-                epoch,
-            });
-        }
+    for &key in &out.restored {
+        *member.held.entry(key).or_insert(0) += 1;
     }
-    member.journal.push(WalRecord::ClientGone { client: prior, epoch });
-    member.held = restored;
-    apply_member_actions(en, w, m, actions);
+    member.journal.extend(out.wal);
+    if out.retire_prior {
+        member_event(en, w, m, DvEvent::ClientGone { client: prior });
+    }
 }
 
 /// Releases the previously consumed key, then issues the next access —
@@ -970,33 +728,13 @@ fn issue_next(en: &mut Engine<FaultWorld>, w: &mut FaultWorld) {
             }
             None => w.router.shard_of_key(prev),
         };
-        let owner = &mut w.members[m];
-        let pinned = match owner.held.get_mut(&prev) {
-            Some(n) => {
-                *n -= 1;
-                if *n == 0 {
-                    owner.held.remove(&prev);
-                }
-                true
-            }
-            None => false,
-        };
         // A release only reaches a live, connected member; otherwise
         // the pin is (or will be) dropped by ClientGone/recovery.
-        if pinned && !owner.needs_reconnect && reachable(w, m, en.now()) {
-            let client = w.members[m].client;
-            let epoch = w.members[m].epoch;
-            w.members[m].journal.push(WalRecord::PinRelease {
-                client,
-                key: prev,
-                epoch,
-            });
-            let actions = w.members[m]
-                .dv
-                .as_mut()
-                .expect("reachable member has a DV")
-                .handle(en.now(), DvEvent::Release { client, key: prev });
-            apply_member_actions(en, w, m, actions);
+        if unhold(&mut w.members[m], prev)
+            && !w.members[m].needs_reconnect
+            && reachable(w, m, en.now())
+        {
+            release(en, w, m, prev);
         }
     }
     if w.cursor >= w.accesses.len() {
@@ -1028,61 +766,111 @@ fn issue_next(en: &mut Engine<FaultWorld>, w: &mut FaultWorld) {
     };
     ensure_session(en, w, m);
     w.cursor += 1;
-    if m != home && w.cfg.steps.valid_key(key) {
-        // Tagged takeover acquire: the taker primes the dead member's
-        // interval from the shared storage before serving it.
-        w.takeovers += 1;
-        takeover_prime(w, m, w.cfg.steps.interval_of(key));
-    }
-    let client = w.members[m].client;
-    let actions = w.members[m]
-        .dv
-        .as_mut()
-        .expect("reachable member has a DV")
-        .handle(en.now(), DvEvent::Acquire { client, key });
-    let mut ready = false;
-    let mut failed: Option<FailCode> = None;
-    for a in &actions {
-        match a {
-            DvAction::NotifyReady { client: c, key: k } if *c == client && *k == key => {
-                ready = true
-            }
-            DvAction::NotifyFailed { key: k, code, .. } if *k == key => failed = Some(*code),
-            _ => {}
+    if m != home {
+        // Tagged takeover acquire: the taker admits it and primes the
+        // dead member's interval from the shared storage first.
+        w.report.takeovers += 1;
+        if takeover_admit(w, m, home, key).is_err() {
+            w.report.failed.push(key);
+            w.report.failed_codes.push(FailCode::Other);
+            en.schedule_in(Dur::ZERO, issue_next);
+            return;
         }
     }
-    apply_member_actions(en, w, m, actions);
-    if let Some(code) = failed {
-        w.failed.push(key);
-        w.failed_codes.push(code);
-        en.schedule_in(Dur::ZERO, issue_next);
-    } else if ready {
-        grant(en, w, m, key);
-    } else {
-        w.waiting_for = Some((m, client, key));
+    match acquire(en, w, m, key) {
+        Some(Ok(())) => grant(en, w, m, key),
+        Some(Err(code)) => {
+            w.report.failed.push(key);
+            w.report.failed_codes.push(code);
+            en.schedule_in(Dur::ZERO, issue_next);
+        }
+        None => w.waiting_for = Some((m, w.members[m].client, key)),
     }
+}
+
+/// Acquires `key` for member `m`'s session and applies the actions:
+/// `Some(Ok(()))` if the pin was granted at once, `Some(Err(code))` if
+/// the acquire failed at once, `None` while it waits on production.
+fn acquire(
+    en: &mut Engine<FaultWorld>,
+    w: &mut FaultWorld,
+    m: usize,
+    key: u64,
+) -> Option<Result<(), FailCode>> {
+    let client = w.members[m].client;
+    let dv = w.members[m].dv.as_mut().expect("reachable member has a DV");
+    let actions = dv.handle(en.now(), DvEvent::Acquire { client, key });
+    let outcome = actions.iter().find_map(|a| match a {
+        DvAction::NotifyReady { client: c, key: k } if *c == client && *k == key => Some(Ok(())),
+        DvAction::NotifyFailed { key: k, code, .. } if *k == key => Some(Err(*code)),
+        _ => None,
+    });
+    apply_member_actions(en, w, m, actions);
+    outcome
+}
+
+/// Journals one release of `key` by member `m`'s session and feeds it
+/// to the DV.
+fn release(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, key: u64) {
+    let member = &mut w.members[m];
+    let (client, epoch) = (member.client, member.core.epoch);
+    member.journal.push(WalRecord::PinRelease { client, key, epoch });
+    member_event(en, w, m, DvEvent::Release { client, key });
+}
+
+/// Feeds `event` to live member `m`'s DV and applies the actions.
+fn member_event(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, event: DvEvent) {
+    let dv = w.members[m].dv.as_mut().expect("live member has a DV");
+    let actions = dv.handle(en.now(), event);
+    apply_member_actions(en, w, m, actions);
+}
+
+/// Journals a pin granted to member `m`'s session on `key` (the member
+/// core picks the record) and counts it in the client's held set.
+fn hold(w: &mut FaultWorld, m: usize, key: u64) {
+    let member = &mut w.members[m];
+    member.journal.push(member.core.pin_record(member.client, key));
+    *member.held.entry(key).or_insert(0) += 1;
+}
+
+/// Drops one held count of `key` from the client's view of `member`;
+/// `false` if none was held.
+fn unhold(member: &mut VMember, key: u64) -> bool {
+    let Some(n) = member.held.get_mut(&key) else {
+        return false;
+    };
+    *n -= 1;
+    if *n == 0 {
+        member.held.remove(&key);
+    }
+    true
+}
+
+/// Records one takeover pin on `key` parked at `taker`, so its release
+/// routes there.
+fn park(w: &mut FaultWorld, key: u64, taker: usize) {
+    let entry = w.taken_over.entry(key).or_insert((taker, 0));
+    entry.0 = taker;
+    entry.1 += 1;
 }
 
 /// A pin was granted: journal it, track it, consume, move on. A grant
 /// for a key the member does not own is a takeover pin — journaled as
-/// such (the daemon's stateless ownership check) and tracked in
-/// `taken_over` so its release routes back to the taker.
+/// such by the member core and tracked in `taken_over` so its release
+/// routes back to the taker. Every grant must name a step that exists
+/// in the shared storage: a member serving a deleted file is a
+/// protocol bug, so every scripted plan checks it.
 fn grant(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, key: u64) {
-    let foreign = w.router.shard_of_key(key) != m;
-    let member = &mut w.members[m];
-    let (client, epoch) = (member.client, member.epoch);
-    member.journal.push(if foreign {
-        WalRecord::TakeoverPin { client, key, epoch }
-    } else {
-        WalRecord::PinAcquire { client, key, epoch }
-    });
-    *member.held.entry(key).or_insert(0) += 1;
-    if foreign {
-        let entry = w.taken_over.entry(key).or_insert((m, 0));
-        entry.0 = m;
-        entry.1 += 1;
+    assert!(
+        w.storage.contains_key(&key),
+        "member {m} granted key {key} at {} but its file is gone",
+        en.now()
+    );
+    hold(w, m, key);
+    if w.members[m].core.is_foreign(key) {
+        park(w, key, m);
     }
-    w.served.push(key);
+    w.report.served.push(key);
     w.release_queue.push_back(key);
     en.schedule_in(w.exp.tau_cli, issue_next);
 }
@@ -1101,7 +889,7 @@ fn detect_down(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) -> Opt
         .collect();
     for &i in &newly {
         w.down[i] = true;
-        w.takeover_epoch += 1;
+        w.report.takeover_epoch += 1;
     }
     for i in newly {
         rehome_pins(en, w, i);
@@ -1128,32 +916,31 @@ fn rehome_pins(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
         if w.taken_over.get(&key).is_some_and(|e| e.0 == m) {
             w.taken_over.remove(&key);
         }
-        takeover_prime(w, taker, w.cfg.steps.interval_of(key));
+        // The takeover names the key's true home, which differs from
+        // `m` for a key parked on `m` as a taker.
+        if takeover_admit(w, taker, w.router.shard_of_key(key), key).is_err() {
+            continue; // refused: the pin is lost
+        }
         for _ in 0..count {
-            w.takeovers += 1;
-            let client = w.members[taker].client;
-            let actions = w.members[taker]
-                .dv
-                .as_mut()
-                .expect("taker is alive")
-                .handle(en.now(), DvEvent::Acquire { client, key });
-            let granted = actions.iter().any(|a| {
-                matches!(a, DvAction::NotifyReady { client: c, key: k }
-                    if *c == client && *k == key)
-            });
-            apply_member_actions(en, w, taker, actions);
-            if !granted {
-                continue;
+            w.report.takeovers += 1;
+            if acquire(en, w, taker, key) == Some(Ok(())) {
+                hold(w, taker, key);
+                park(w, key, taker);
             }
-            let member = &mut w.members[taker];
-            let epoch = member.epoch;
-            member.journal.push(WalRecord::TakeoverPin { client, key, epoch });
-            *member.held.entry(key).or_insert(0) += 1;
-            let entry = w.taken_over.entry(key).or_insert((taker, 0));
-            entry.0 = taker;
-            entry.1 += 1;
         }
     }
+}
+
+/// A tagged takeover acquire of `key` at taker `t` for dead member
+/// `dead`: the member core's request-level and per-key admission, then
+/// the first-touch priming of the key's interval.
+fn takeover_admit(w: &mut FaultWorld, t: usize, dead: usize, key: u64) -> Result<(), String> {
+    let core = w.members[t].core;
+    core.takeover_admission(dead as u32, w.report.takeover_epoch)?;
+    if let Some(interval) = core.takeover_key(key, dead as u32, w.report.takeover_epoch)? {
+        takeover_prime(w, t, interval);
+    }
+    Ok(())
 }
 
 /// Primes a foreign `interval` on taker `t` from the shared storage —
@@ -1164,23 +951,45 @@ fn takeover_prime(w: &mut FaultWorld, t: usize, interval: u64) {
     if !w.taken_intervals[t].insert(interval) {
         return;
     }
-    w.takeover_intervals_primed += 1;
-    let mut owned: Vec<(u64, u64)> = w
+    w.report.takeover_intervals_primed += 1;
+    let mut dv = w.members[t].dv.take().expect("taker is alive");
+    let steps = w.cfg.steps;
+    prime_from_storage(w, t, &mut dv, |key| {
+        steps.valid_key(key) && steps.interval_of(key) == interval
+    });
+    w.members[t].dv = Some(dv);
+}
+
+/// Primes member `m`'s `dv` with every stored step `wanted` selects, in
+/// key order, deleting whatever the insertions evict.
+fn prime_from_storage(
+    w: &mut FaultWorld,
+    m: usize,
+    dv: &mut DataVirtualizer,
+    wanted: impl Fn(u64) -> bool,
+) {
+    let mut stored: Vec<(u64, u64)> = w
         .storage
         .iter()
-        .filter(|&(&key, _)| {
-            w.cfg.steps.valid_key(key) && w.cfg.steps.interval_of(key) == interval
-        })
+        .filter(|&(&key, _)| wanted(key))
         .map(|(&key, &size)| (key, size))
         .collect();
-    owned.sort_unstable();
-    let dv = w.members[t].dv.as_mut().expect("taker is alive");
-    let mut evicted = Vec::new();
-    for (key, size) in owned {
-        evicted.extend(dv.prime(key, size));
-    }
-    for key in evicted {
-        w.storage.remove(&key);
+    stored.sort_unstable();
+    let evicted: Vec<u64> = stored
+        .into_iter()
+        .flat_map(|(key, size)| dv.prime(key, size))
+        .collect();
+    delete_evicted(w, m, evicted);
+}
+
+/// Member `m` evicted `keys` from its cache: delete the files the
+/// member core says it may (those of intervals `m` owns).
+fn delete_evicted(w: &mut FaultWorld, m: usize, keys: impl IntoIterator<Item = u64>) {
+    let core = w.members[m].core;
+    for key in keys {
+        if core.deletes_on_evict(key) {
+            w.storage.remove(&key);
+        }
     }
 }
 
@@ -1193,7 +1002,7 @@ fn revive_members(en: &mut Engine<FaultWorld>, w: &mut FaultWorld) {
             continue;
         }
         w.down[m] = false;
-        w.takeover_epoch += 1;
+        w.report.takeover_epoch += 1;
         ensure_session(en, w, m);
         hand_back_home(en, w, m);
     }
@@ -1213,25 +1022,8 @@ fn hand_back_home(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
     parked.sort_unstable();
     for (key, taker, count) in parked {
         let mut granted = 0u32;
-        for _ in 0..count {
-            let client = w.members[m].client;
-            let actions = w.members[m]
-                .dv
-                .as_mut()
-                .expect("revived member has a DV")
-                .handle(en.now(), DvEvent::Acquire { client, key });
-            let ready = actions.iter().any(|a| {
-                matches!(a, DvAction::NotifyReady { client: c, key: k }
-                    if *c == client && *k == key)
-            });
-            apply_member_actions(en, w, m, actions);
-            if !ready {
-                break;
-            }
-            let member = &mut w.members[m];
-            let epoch = member.epoch;
-            member.journal.push(WalRecord::PinAcquire { client, key, epoch });
-            *member.held.entry(key).or_insert(0) += 1;
+        while granted < count && acquire(en, w, m, key) == Some(Ok(())) {
+            hold(w, m, key);
             granted += 1;
         }
         if granted < count {
@@ -1241,22 +1033,9 @@ fn hand_back_home(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
             continue; // taker unreachable: hand back on a later pass
         }
         for _ in 0..count {
-            let t = &mut w.members[taker];
-            let (tclient, tepoch) = (t.client, t.epoch);
-            t.journal.push(WalRecord::PinRelease { client: tclient, key, epoch: tepoch });
-            if let Some(n) = t.held.get_mut(&key) {
-                *n -= 1;
-                if *n == 0 {
-                    t.held.remove(&key);
-                }
-            }
-            let actions = t
-                .dv
-                .as_mut()
-                .expect("reachable taker has a DV")
-                .handle(en.now(), DvEvent::Release { client: tclient, key });
-            apply_member_actions(en, w, taker, actions);
-            w.pins_handed_back += 1;
+            unhold(&mut w.members[taker], key);
+            release(en, w, taker, key);
+            w.report.pins_handed_back += 1;
         }
         w.taken_over.remove(&key);
     }
@@ -1277,8 +1056,8 @@ fn apply_member_actions(
             DvAction::NotifyFailed { client, key, code, .. } => {
                 if w.waiting_for == Some((m, client, key)) {
                     w.waiting_for = None;
-                    w.failed.push(key);
-                    w.failed_codes.push(code);
+                    w.report.failed.push(key);
+                    w.report.failed_codes.push(code);
                     en.schedule_in(Dur::ZERO, issue_next);
                 }
             }
@@ -1292,6 +1071,15 @@ fn apply_member_actions(
                         killed: false,
                     },
                 );
+                let active: usize = w
+                    .members
+                    .iter()
+                    .flat_map(|m| &m.dv)
+                    .map(|dv| dv.active_sims())
+                    .sum();
+                let jobs = w.sims.values().filter(|s| !s.killed).count();
+                w.report.peak_sims = w.report.peak_sims.max(active as u32);
+                w.report.peak_jobs = w.report.peak_jobs.max(jobs as u32);
                 let delay = w.exp.queue.sample(&mut w.rng) + w.exp.alpha_sim;
                 en.schedule_in(delay, move |en, w: &mut FaultWorld| {
                     vsim_started(en, w, m, inc, sim)
@@ -1303,9 +1091,7 @@ fn apply_member_actions(
                     s.killed = true;
                 }
             }
-            DvAction::Evict { key } => {
-                w.storage.remove(&key);
-            }
+            DvAction::Evict { key } => delete_evicted(w, m, [key]),
         }
     }
     // Any of the above may have armed a backoff retry, a hang
@@ -1321,6 +1107,9 @@ fn apply_member_actions(
 /// slot, so only strictly-future deadlines need a timer (scheduling at
 /// `now` would spin the engine without advancing virtual time).
 fn schedule_member_tick(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize) {
+    if !w.supervise {
+        return;
+    }
     let now = en.now();
     let Some(dv) = w.members[m].dv.as_ref() else {
         return;
@@ -1379,20 +1168,10 @@ fn vsim_started(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, inc: 
         // scheduler kill). The supervisor decides retry vs poison.
         w.members[m].fail_next -= 1;
         w.sims.remove(&(m, inc, sim));
-        let actions = w.members[m]
-            .dv
-            .as_mut()
-            .expect("live incarnation has a DV")
-            .handle(en.now(), DvEvent::SimFailed { sim });
-        apply_member_actions(en, w, m, actions);
+        member_event(en, w, m, DvEvent::SimFailed { sim });
         return;
     }
-    let actions = w.members[m]
-        .dv
-        .as_mut()
-        .expect("live incarnation has a DV")
-        .handle(en.now(), DvEvent::SimStarted { sim });
-    apply_member_actions(en, w, m, actions);
+    member_event(en, w, m, DvEvent::SimStarted { sim });
     if w.members[m].hang_next > 0 {
         // Armed HangSim: one sign of life, then silence — no produce
         // is ever scheduled, so only the watchdog can reclaim it.
@@ -1423,36 +1202,18 @@ fn vsim_produce(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, inc: 
         // machinery.
         w.members[m].corrupt_next -= 1;
         w.sims.remove(&(m, inc, sim));
-        let actions = w.members[m]
-            .dv
-            .as_mut()
-            .expect("live incarnation has a DV")
-            .handle(en.now(), DvEvent::OutputCorrupt { sim, key });
-        apply_member_actions(en, w, m, actions);
+        member_event(en, w, m, DvEvent::OutputCorrupt { sim, key });
         return;
     }
     s.next_key += 1;
     let finished = s.next_key > s.keys_end;
     w.storage.insert(key, w.exp.output_bytes);
-    let actions = w.members[m]
-        .dv
-        .as_mut()
-        .expect("live incarnation has a DV")
-        .handle(en.now(), DvEvent::FileProduced {
-            sim,
-            key,
-            size: w.exp.output_bytes,
-        });
-    apply_member_actions(en, w, m, actions);
+    let size = w.exp.output_bytes;
+    member_event(en, w, m, DvEvent::FileProduced { sim, key, size });
     if finished {
         w.sims.remove(&(m, inc, sim));
         if w.members[m].incarnation == inc {
-            let actions = w.members[m]
-                .dv
-                .as_mut()
-                .expect("live incarnation has a DV")
-                .handle(en.now(), DvEvent::SimFinished { sim });
-            apply_member_actions(en, w, m, actions);
+            member_event(en, w, m, DvEvent::SimFinished { sim });
         }
     } else {
         en.schedule_in(w.exp.tau_sim, move |en, w: &mut FaultWorld| {
@@ -1465,6 +1226,7 @@ fn vsim_produce(en: &mut Engine<FaultWorld>, w: &mut FaultWorld, m: usize, inc: 
 mod tests {
     use super::*;
     use crate::model::{StepMath, SupervisorCfg};
+    use simstore::walog::WalState;
 
     /// Fig. 7/8-style micro configuration: Δr = 4 outputs per interval,
     /// alpha = 2 s, tau_sim = 1 s, tau_cli = 0.5 s.
@@ -1939,6 +1701,35 @@ mod tests {
             "the second taker must hold the chained takeover pins"
         );
         assert_eq!(rep.takeover_epoch, 2, "two down-detections, no revival");
+    }
+
+    #[test]
+    fn revived_member_never_serves_a_key_its_taker_evicted() {
+        // A cache of 8 steps per member. Member 2 takes member 1's
+        // intervals over while member 1 is down, priming keys 5-8 into
+        // its own small cache. Member 1 restarts and re-primes them
+        // from the shared storage; the taker's cache pressure later
+        // evicts its stale copies. Only the owner may delete the files,
+        // so member 1's later grants of 6 and 7 still find them (the
+        // storage check in `grant` fails the run otherwise).
+        let mut exp = faulted();
+        exp.cfg = ContextCfg::new("vf", StepMath::new(1, 4, 10_000), 1, 24)
+            .with_policy("lru")
+            .with_smax(4)
+            .with_prefetch(false);
+        exp.pin_window = 1;
+        exp.failover = true;
+        let accesses = [5u64, 6, 7, 8, 1, 2, 3, 4, 5, 9, 10, 11, 12, 21, 22, 23, 24, 6, 7];
+        let plan = FaultPlan {
+            faults: vec![
+                Fault::CrashMember { member: 1, at: Dur::from_millis(7_200) },
+                Fault::RestartMember { member: 1, at: Dur::from_secs(14), recover: true },
+            ],
+        };
+        let rep = exp.run(&accesses, TAU_CLI, &plan);
+        assert_eq!(rep.served, accesses.to_vec());
+        assert!(rep.failed.is_empty());
+        assert!(rep.takeovers > 0 && rep.takeover_epoch == 2, "{rep:?}");
     }
 
     proptest::proptest! {

@@ -335,6 +335,65 @@ fn member_rejects_foreign_interval() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A takeover acquire is a claim that some member is dead; a member
+/// refuses a claim that names itself or a member outside the cluster.
+/// Every key of such a request comes back as a typed `Failed`, and
+/// none of them is pinned, primed or counted as served — even a key the
+/// member holds resident.
+#[test]
+fn takeover_acquire_rejects_bad_claims() {
+    use simfs_core::dv::FailCode;
+    let dir = std::env::temp_dir().join(format!(
+        "simfs-cluster-badclaim-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Member 1 of 3 owns interval 1 (keys 5..=8); key 2 is member 0's.
+    let (server, _storage) = start_member(&dir, ClusterMember::new(1, 3), 1000, 6, 2);
+    let mut client = SimfsClient::connect(server.addr(), "test-ctx").unwrap();
+    // Make key 6 resident and unpinned: a wrongly admitted takeover
+    // would fast-pin it.
+    assert!(client.acquire(&[6]).unwrap().ok());
+    client.release(6).unwrap();
+    client.flush().unwrap();
+    let before = server.stats();
+
+    let claims = [(1, "this daemon, and it is alive"), (3, "cluster has 3 members")];
+    for (dead_member, why) in claims {
+        let keys = [6u64, 2, 9999];
+        let mut req = client.takeover_acquire_nb(&keys, dead_member, 7).unwrap();
+        let status = client.wait(&mut req).unwrap();
+        assert!(status.ready.is_empty(), "claim on member {dead_member}: {status:?}");
+        let mut failed: Vec<u64> = status.failed.iter().map(|(k, _)| *k).collect();
+        failed.sort_unstable();
+        assert_eq!(failed, vec![2, 6, 9999], "every key must fail");
+        for (key, err) in &status.failed {
+            assert_eq!(err.code, FailCode::Other, "key {key}: {err}");
+            assert!(
+                err.reason.contains(&format!("takeover of member {dead_member}"))
+                    && err.reason.contains(why),
+                "key {key}: {err}"
+            );
+        }
+    }
+
+    assert_eq!(server.fast_pinned("test-ctx", 6), Some(false), "no pin may stay behind");
+    let after = server.stats();
+    assert_eq!(after.takeover_acquires, 0);
+    assert_eq!(after.takeover_intervals_primed, 0);
+    assert_eq!(
+        (after.hits, after.misses),
+        (before.hits, before.misses),
+        "a refused claim must not reach the DV"
+    );
+    // The session is unharmed: the key still serves natively.
+    assert!(client.acquire(&[6]).unwrap().ok());
+    client.finalize().unwrap();
+    server.shutdown();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The hello-time membership handshake: a client whose cluster map or
 /// step math disagrees with the daemon is rejected with an error that
 /// names both views — instead of being silently served misrouted
