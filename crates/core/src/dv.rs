@@ -62,7 +62,7 @@
 use crate::model::{ContextCfg, StepMath};
 use crate::perfmodel::{Ema, IntervalTracker};
 use crate::prefetch::{AccessRecord, Direction, PrefetchAgent, PrefetchInputs};
-use simcache::{policy_by_name, u64_map, CacheSim, U64Map};
+use simcache::{policy_by_name, u64_map, u64_set, CacheSim, U64Map, U64Set};
 use simkit::lockrank;
 use simkit::{Dur, SimTime};
 use std::collections::VecDeque;
@@ -356,7 +356,8 @@ pub struct DvStats {
     /// Job-control effect jobs executed.
     pub effect_spawn_ops: u64,
     /// Helper-side nanoseconds executing WAL-only effect jobs (durable
-    /// outboxes, fast-pin windows, departures).
+    /// outboxes, fast-pin windows, departures), plus every batch's
+    /// group append and fsync, whichever job class carried the records.
     pub effect_wal_ns: u64,
     /// WAL-only effect jobs executed.
     pub effect_wal_ops: u64,
@@ -574,6 +575,16 @@ pub struct DataVirtualizer {
     /// reset confined to one shard would leave the sibling replicas
     /// planning from the very trajectory that polluted the cache.
     pollution_signal: bool,
+    /// Evicted keys whose file the front-end is unlinking right now
+    /// (between [`begin_evict_delete`](Self::begin_evict_delete) and
+    /// [`end_evict_delete`](Self::end_evict_delete)). A launch whose
+    /// range holds one waits in the queue until the unlink lands, so
+    /// no delete decided before a launch can hit that sim's output.
+    deleting: U64Set,
+    /// Evicted keys whose unlink was skipped because a live or queued
+    /// sim will rewrite them; handed back as `Evict` actions once no
+    /// sim will (so a skipped file cannot leak past its producer).
+    delete_skipped: U64Set,
     alpha_sim: Ema,
     tau_sim: Ema,
     stats: DvStats,
@@ -606,6 +617,8 @@ impl DataVirtualizer {
             sim_stride: 1,
             digest_observation: false,
             pollution_signal: false,
+            deleting: u64_set(),
+            delete_skipped: u64_set(),
             stats: DvStats::default(),
         }
     }
@@ -731,6 +744,8 @@ impl DataVirtualizer {
             }
             self.apply_agent_outcome_owned(r.client, outcome, owns_key, actions, now);
         }
+        // Direction changes may have killed prefetch sims.
+        self.sweep_skipped_deletes(actions);
     }
 
     /// Folds recorder-side digest losses into this DV's counters (the
@@ -784,6 +799,74 @@ impl DataVirtualizer {
     /// Is `key` currently materialized?
     pub fn is_cached(&self, key: u64) -> bool {
         self.cache.peek(key)
+    }
+
+    /// The eviction-delete predicate, asked by the front-end under the
+    /// same lock as its deferred re-check of an `Evict` action: may
+    /// `key`'s file be unlinked now? Not while the key is resident or
+    /// another unlink of it is in flight, and not while a live sim
+    /// (from its next step on) or a queued launch will rewrite it —
+    /// such an unlink could delete the fresh output instead of the
+    /// evicted one. A skipped key is remembered and handed back as an
+    /// `Evict` action once no sim will produce it. On `true` the key
+    /// counts as being deleted until
+    /// [`end_evict_delete`](Self::end_evict_delete).
+    pub fn begin_evict_delete(&mut self, key: u64) -> bool {
+        if self.cache.peek(key) || self.deleting.contains(&key) {
+            return false;
+        }
+        if self.will_produce(key) {
+            self.delete_skipped.insert(key);
+            return false;
+        }
+        self.deleting.insert(key);
+        true
+    }
+
+    /// The unlink [`begin_evict_delete`](Self::begin_evict_delete)
+    /// allowed has landed: launches it held back may start.
+    pub fn end_evict_delete(&mut self, key: u64, now: SimTime, actions: &mut Vec<DvAction>) {
+        if self.deleting.remove(&key) && !self.launch_queue.is_empty() {
+            self.drain_launch_queue(actions, now);
+        }
+    }
+
+    /// Is an unlink of `key` in flight?
+    pub fn delete_in_flight(&self, key: u64) -> bool {
+        self.deleting.contains(&key)
+    }
+
+    /// Is `sim` a live (launched, unretired) simulation of this DV?
+    pub fn has_sim(&self, sim: SimId) -> bool {
+        self.sims.contains_key(&sim)
+    }
+
+    /// Will a live sim (from its next unreported step on) or a queued
+    /// launch write `key`'s file?
+    fn will_produce(&self, key: u64) -> bool {
+        self.sims
+            .values()
+            .any(|s| key >= s.next_key && s.keys.contains(&key))
+            || self.launch_queue.iter().any(|q| q.keys.contains(&key))
+    }
+
+    /// Hands skipped deletes back as `Evict` actions once no sim will
+    /// produce their key any more (the front-end re-checks them).
+    fn sweep_skipped_deletes(&mut self, actions: &mut Vec<DvAction>) {
+        if self.delete_skipped.is_empty() {
+            return;
+        }
+        let mut skipped = std::mem::take(&mut self.delete_skipped);
+        skipped.retain(|&key| {
+            if self.will_produce(key) {
+                return true;
+            }
+            if !self.cache.peek(key) {
+                actions.push(DvAction::Evict { key });
+            }
+            false
+        });
+        self.delete_skipped = skipped;
     }
 
     /// Number of active (launched, unfinished) simulations.
@@ -844,6 +927,7 @@ impl DataVirtualizer {
         self.retry
             .retain(|_, r| r.quarantined_until.is_none_or(|u| now < u));
         self.drain_launch_queue(actions, now);
+        self.sweep_skipped_deletes(actions);
     }
 
     /// Earliest supervision deadline (backoff expiry, hang deadline,
@@ -1062,7 +1146,8 @@ impl DataVirtualizer {
             let Some(q) = self.launch_queue.pop_front() else {
                 break;
             };
-            if q.not_before > now {
+            let unlinking = self.deleting.iter().any(|k| q.keys.contains(k));
+            if q.not_before > now || unlinking {
                 self.launch_queue.push_back(q);
                 parked += 1;
                 continue;
@@ -1478,6 +1563,9 @@ impl DataVirtualizer {
                 self.kill_client_prefetches(client, actions, now);
             }
         }
+        // Sims retire (finish, fail, die) and queued launches drop on
+        // many of the paths above: re-offer the deletes they held back.
+        self.sweep_skipped_deletes(actions);
     }
 
     /// Drops `sim` from the per-client prefetch index (after its
@@ -1682,6 +1770,8 @@ impl DataVirtualizer {
         if self.pending.get(&key) == Some(&sim) {
             self.pending.remove(&key);
         }
+        // The fresh file is live again: a delete skipped for it is void.
+        self.delete_skipped.remove(&key);
 
         if !self.cache.contains(key) {
             let cost = self.cfg.steps.miss_cost(key);
@@ -2188,6 +2278,72 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The eviction-delete predicate the daemon's deferred re-check
+    /// asks under the shard lock: resident keys and keys already being
+    /// unlinked are never deleted; a key a live sim will rewrite is
+    /// skipped, and handed back as `Evict` once that sim retires
+    /// without producing it; and a launch over a key being unlinked
+    /// waits until the unlink lands.
+    #[test]
+    fn evict_delete_predicate_spares_keys_a_sim_will_rewrite() {
+        let mut c = cfg(4);
+        c.supervisor.attempt_budget = 1;
+        let mut dv = DataVirtualizer::new(c);
+        let a = dv.handle(t(1), DvEvent::Acquire { client: 1, key: 2 });
+        produce_all(&mut dv, &a, t(1));
+        dv.handle(t(1), DvEvent::Release { client: 1, key: 2 });
+        // Producing 5..=8 into the 4-step cache evicts 1..=4.
+        let b = dv.handle(t(2), DvEvent::Acquire { client: 1, key: 6 });
+        let mut evicted: Vec<u64> = produce_all(&mut dv, &b, t(2))
+            .iter()
+            .filter_map(|a| match a {
+                DvAction::Evict { key } => Some(*key),
+                _ => None,
+            })
+            .collect();
+        evicted.sort_unstable();
+        assert_eq!(evicted, vec![1, 2, 3, 4]);
+
+        assert!(!dv.begin_evict_delete(6), "resident key deleted");
+        assert!(dv.begin_evict_delete(1));
+        assert!(dv.delete_in_flight(1));
+        assert!(!dv.begin_evict_delete(1), "two unlinks of one key in flight");
+
+        let miss = dv.handle(t(3), DvEvent::Acquire { client: 2, key: 1 });
+        assert!(
+            !miss.iter().any(|a| matches!(a, DvAction::Launch { .. })),
+            "launched over a key being unlinked: {miss:?}"
+        );
+        let mut released = Vec::new();
+        dv.end_evict_delete(1, t(3), &mut released);
+        let sim = match released.as_slice() {
+            [DvAction::Launch { sim, keys, .. }] if *keys == (1..=4) => *sim,
+            other => panic!("held-back launch not released: {other:?}"),
+        };
+        assert!(!dv.delete_in_flight(1));
+
+        // The relaunched sim will rewrite 1..=4.
+        assert!(!dv.begin_evict_delete(2));
+        assert!(!dv.begin_evict_delete(3));
+        dv.handle(t(4), DvEvent::FileProduced { sim, key: 2, size: 100 });
+        // Past its next step, a sim no longer vetoes the delete.
+        assert!(dv.begin_evict_delete(1));
+        dv.end_evict_delete(1, t(4), &mut released);
+        // Retiring unproduced (budget 1: poisoned, no retry queued)
+        // hands the skipped, still-evicted 3 back — not 2, which the
+        // sim produced and is resident again.
+        let out = dv.handle(t(5), DvEvent::SimFailed { sim });
+        let handed: Vec<u64> = out
+            .iter()
+            .filter_map(|a| match a {
+                DvAction::Evict { key } => Some(*key),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(handed, vec![3], "{out:?}");
+        assert!(dv.begin_evict_delete(3));
     }
 
     #[test]

@@ -149,9 +149,12 @@ pub trait Handler: Send + 'static {
     /// While any connection on a shard is interested, that shard
     /// bounds its epoll wait to the tick interval instead of blocking
     /// indefinitely (a shard with no tick interest still sleeps fully
-    /// idle). The daemon uses this to drain access-stream digests for
-    /// connections whose traffic is pure fast-path hits — nothing else
-    /// would ever take a DV lock on their behalf.
+    /// idle). The daemon uses this for the two connection-local buffers
+    /// that fast-path hits fill without taking a DV lock: access-stream
+    /// digests (nothing else would replay a pure-hit stream into the
+    /// prefetch agents) and, on durable contexts, the fast-pin WAL
+    /// window (kept open across frames so an acquire→release pair nets
+    /// out, and journaled on the tick).
     fn wants_tick(&self) -> bool {
         false
     }
@@ -171,9 +174,11 @@ pub trait Handler: Send + 'static {
 }
 
 /// Cadence of [`Handler::on_tick`] while a shard has tick interest:
-/// long enough that a pure-hit connection's digest drains cost nothing
-/// measurable, short enough that agent observation lags acquisition by
-/// at most a few round trips.
+/// long enough that a pure-hit connection's digest drains and fast-pin
+/// WAL appends cost nothing measurable, short enough that agent
+/// observation lags acquisition by at most a few round trips and a
+/// crash loses at most this much of a connection's fast-pin journal
+/// (which DVLib's pin re-assertion restores).
 pub const TICK: std::time::Duration = std::time::Duration::from_millis(20);
 
 /// Stable address of a connection: owning shard + shard-local token.

@@ -114,15 +114,21 @@
 //!    the frames are sent (write-ahead ordering, preserved batch-wide
 //!    by the effect tier: every pin in a helper batch is fsynced before
 //!    any of the batch's frames go out), while fast-path hit pins —
-//!    which never enter the outbox — buffer in the connection-local
-//!    window, are netted ([`simstore::walog::net_pin_window`]) when the
-//!    frame handler returns, i.e. after the reply, and ride
-//!    `Effects::wal_records` into the same commit pass. A crash can
-//!    therefore lose a fast pin's record but never a slow one's; the
-//!    client
-//!    re-assertion protocol reconciles either way (an unlogged pin
-//!    re-acquires, a logged-but-released pin is freed by the
-//!    reassert's closing `ClientGone`). The log compacts to a
+//!    which never enter the outbox — buffer with every release in the
+//!    connection-local window, which stays open across frames and is
+//!    netted ([`simstore::walog::net_pin_window`]) and appended on the
+//!    reactor tick or a `Status` (early only past a fixed high-water
+//!    mark), always after the hit replies, riding
+//!    `Effects::wal_records` into the same commit pass. DVLib's
+//!    fire-and-forget `Release` arrives in the frame of the next
+//!    `Acquire`, so only a multi-frame window nets a hit's
+//!    acquire→release pair: steady-state hits journal nothing. A crash
+//!    can therefore lose a fast pin's record but never a slow one's;
+//!    the client re-assertion protocol reconciles either way (an
+//!    unlogged pin re-acquires, a logged-but-released pin is freed by
+//!    the reassert's closing `ClientGone`). A `Status` reply is the
+//!    session's durability point: it leaves only after every fast pin
+//!    the session holds is fsynced. The log compacts to a
 //!    [`simstore::walog::WalState`] snapshot at sync points once it
 //!    passes [`simstore::walog::COMPACT_THRESHOLD`]. Contexts without
 //!    durability skip this tier entirely — one `Option` check on the
@@ -163,10 +169,13 @@
 //! are submitted to the effect tier (or run inline in compatibility
 //! mode). All responses of one transition for one destination coalesce
 //! into a single [`wire::FrameBatch`] write. Deferred eviction deletes
-//! re-check the cache under the owning shard lock so an overlapping
-//! re-production cannot lose its file to a stale eviction — the
-//! re-check happens on the helper thread, under the same shard lock,
-//! so the guarantee is unchanged.
+//! re-check under the owning shard lock so an overlapping re-production
+//! cannot lose its file to a stale eviction: the DV refuses to delete a
+//! resident key or one a live or queued sim will rewrite (handing the
+//! skipped delete back when that sim retires), holds launches over keys
+//! whose unlink is in flight, and a retired sim's late `FileProduced`
+//! is not admitted when an unlink of its key may have followed the
+//! verify read ([`DataVirtualizer::begin_evict_delete`]).
 //!
 //! Three observable consequences of the lock-minimized design:
 //! responses to *different* requests of one client may interleave
@@ -177,9 +186,13 @@
 //! approximate — a fast hit sets a CLOCK-style reference bit instead
 //! of reordering the policy's lists, so a hot key survives an eviction
 //! decision rather than never being considered; and the fast-pin WAL
-//! window (1b above) is widened by effect-queue latency — a crash can
-//! lose the records of fast pins still queued for their group fsync,
-//! which the existing client re-assertion protocol already reconciles.
+//! window (1b above) spans up to one reactor tick (20 ms) plus
+//! effect-queue latency — a crash can lose the records of fast pins
+//! taken in that window (or still queued for their group fsync), and
+//! the log can still claim pins released in it; the client
+//! re-assertion protocol reconciles both. Durable contexts therefore
+//! send `Status` replies through the effect queue, behind the
+//! session's journaled windows.
 //!
 //! This remains the classic coordination-daemon shape — the data path
 //! (bulk file I/O) never goes through the daemon, only control messages
@@ -351,6 +364,15 @@ const HIT_INDEX_SHARDS: usize = 16;
 /// the ring between 20 ms reactor ticks and drop its freshest records.
 const DIGEST_HIGH_WATER: usize = ACCESS_LOG_CAPACITY - ACCESS_LOG_CAPACITY / 4;
 
+/// Fast-pin window high-water mark (durable contexts): a frame that
+/// leaves a connection's buffered pin window this long nets it on the
+/// spot, and appends it early only if netting leaves at least half the
+/// mark — so a client that pins far more than it releases between two
+/// reactor ticks stays bounded, while a steady acquire→release stream
+/// nets to nearly nothing and keeps waiting for the tick. The half-mark
+/// rule keeps netting amortized O(1) per record.
+const WAL_WINDOW_HIGH_WATER: usize = 1024;
+
 /// The state guarded by one DV shard lock: the shard's state machine,
 /// the request bookkeeping its notifications resolve through, and the
 /// reusable action scratch buffer.
@@ -471,9 +493,13 @@ struct ConnLocal {
     /// instead — recording both would feed every access twice.
     observe_local: bool,
     /// Durable contexts only: fast-path pin/release records buffered
-    /// for the WAL. Netted ([`walog::net_pin_window`]) and appended
-    /// when the frame handler returns — a hit-path acquire→release
-    /// round trip inside one window writes nothing.
+    /// for the WAL. Netted ([`walog::net_pin_window`]) and appended on
+    /// the next reactor tick, ahead of a `Status` reply, or early past
+    /// [`WAL_WINDOW_HIGH_WATER`] — so a hit-path acquire→release round
+    /// trip inside one window writes nothing, even though DVLib's
+    /// fire-and-forget `Release` arrives in the frame of the *next*
+    /// acquire. Releases of slow-path (already journaled) pins buffer
+    /// here too: a release is only ever appended after its acquire.
     wal_pending: Vec<WalRecord>,
 }
 
@@ -529,16 +555,26 @@ enum EffectClass {
 }
 
 impl EffectPerf {
-    fn record(&self, class: EffectClass, elapsed: Duration) {
-        let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        let (ns_ctr, ops_ctr) = match class {
+    fn counters(&self, class: EffectClass) -> (&AtomicU64, &AtomicU64) {
+        match class {
             EffectClass::Spawn => (&self.spawn_ns, &self.spawn_ops),
             EffectClass::Wal => (&self.wal_ns, &self.wal_ops),
             EffectClass::Evict => (&self.evict_ns, &self.evict_ops),
             EffectClass::Read => (&self.read_ns, &self.read_ops),
-        };
-        ns_ctr.fetch_add(ns, Ordering::Relaxed);
-        ops_ctr.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// One executed job of `class` that took `elapsed`.
+    fn record(&self, class: EffectClass, elapsed: Duration) {
+        self.record_ns(class, elapsed);
+        self.counters(class).1.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Time spent on behalf of `class` outside any one job (the batch
+    /// executor's group append + fsync): nanoseconds only.
+    fn record_ns(&self, class: EffectClass, elapsed: Duration) {
+        let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
+        self.counters(class).0.fetch_add(ns, Ordering::Relaxed);
     }
 }
 
@@ -647,6 +683,12 @@ struct CtxRuntime {
     takeover_intervals_primed: AtomicU64,
     /// Takeover pin counts drained by `HandBack`.
     takeover_pins_handed_back: AtomicU64,
+    /// Eviction-unlink events: bumped under the owning shard lock when
+    /// an unlink is decided and again when it has landed. A produced
+    /// file's check reads it before the verify read and compares under
+    /// the shard lock at admission: unchanged means no unlink was in
+    /// flight across the read ([`CtxRuntime::produced_transition`]).
+    unlink_events: AtomicU64,
 }
 
 struct Inner {
@@ -1004,16 +1046,18 @@ impl CtxRuntime {
     /// Does executing `fx` involve a blocking operation (and so belong
     /// on a helper thread)? Job control means launcher I/O, evicts mean
     /// storage deletes, and on a durable context `Ready` responses and
-    /// explicit records mean a WAL append + fsync.
+    /// explicit records mean a WAL append + fsync. A durable context's
+    /// `StatusInfo` also queues, even with nothing to append: the
+    /// shard's FIFO then sends it only after every fast-pin window the
+    /// session submitted earlier has been fsynced.
     fn commit_needs_helper(&self, fx: &Effects) -> bool {
         fx.has_job_control()
             || !fx.evicts.is_empty()
             || !fx.wal_records.is_empty()
             || (self.wal.is_some()
-                && fx
-                    .outbox
-                    .iter()
-                    .any(|(_, r)| matches!(r, Response::Ready { .. })))
+                && fx.outbox.iter().any(|(_, r)| {
+                    matches!(r, Response::Ready { .. } | Response::StatusInfo { .. })
+                }))
     }
 
     /// The commit loop itself: socket writes, job control, evictions.
@@ -1034,45 +1078,9 @@ impl CtxRuntime {
             self.flush_outbox(fx);
             self.apply_job_control(inner, fx, &mut failed);
             if !fx.evicts.is_empty() {
-                // The evictions were decided under a shard lock we have
-                // since released: an overlapping production may have
-                // re-materialized a key meanwhile. Re-check under the
-                // owning shard's lock so we do not delete files the
-                // cache now believes in — grouped by shard so a burst
-                // of evictions (usually all from the one shard whose
-                // insert decided them) takes each contended lock once,
-                // not once per key. The residual write-then-delete
-                // window is inherent: simulators publish files before
-                // their FileProduced message reaches the DV.
-                {
-                    let router = self.router;
-                    fx.evicts
-                        .sort_unstable_by_key(|&key| router.shard_of_key(key));
-                    let (mut kept, mut i) = (0, 0);
-                    while i < fx.evicts.len() {
-                        let shard = router.shard_of_key(fx.evicts[i]);
-                        let _rank = lockrank::held(lockrank::DV_SHARD);
-                        let core = self.shards[shard].lock();
-                        while i < fx.evicts.len()
-                            && router.shard_of_key(fx.evicts[i]) == shard
-                        {
-                            let key = fx.evicts[i];
-                            i += 1;
-                            if !core.dv.is_cached(key) {
-                                fx.evicts[kept] = key;
-                                kept += 1;
-                            }
-                        }
-                    }
-                    fx.evicts.truncate(kept);
-                }
-                for key in fx.evicts.drain(..) {
-                    lockrank::assert_blocking_ok("evict-delete");
-                    let name = self.driver.filename_of(key);
-                    let _ = self.storage.delete(&name);
-                }
+                self.delete_evicted(inner, fx);
             }
-            if failed.is_empty() {
+            if failed.is_empty() && !fx.has_job_control() && fx.outbox.is_empty() {
                 break;
             }
             for sim in failed.drain(..) {
@@ -1090,6 +1098,64 @@ impl CtxRuntime {
             // re-arms its timer against the new earliest deadline.
             inner.notify_reaper();
         }
+    }
+
+    /// Deletes the files of `fx.evicts`. The evictions were decided
+    /// under a shard lock since released, so each key is re-checked
+    /// under its shard's lock first, grouped by shard so a burst takes
+    /// each contended lock once. The DV's predicate
+    /// ([`DataVirtualizer::begin_evict_delete`]) keeps a key whose step
+    /// is resident again, or that a live or queued sim will rewrite —
+    /// an unlink then could delete the fresh output instead of the
+    /// evicted one — and marks the keys it lets through as being
+    /// deleted, which holds back launches over them until the unlinks
+    /// have landed and the second pass below clears the marks (its
+    /// actions, released launches, ride `fx` into the commit loop).
+    fn delete_evicted(&self, inner: &Inner, fx: &mut Effects) {
+        let router = self.router;
+        fx.evicts.sort_unstable_by_key(|&key| router.shard_of_key(key));
+        let mut evicts = std::mem::take(&mut fx.evicts);
+        let (mut kept, mut i) = (0, 0);
+        while i < evicts.len() {
+            let shard = router.shard_of_key(evicts[i]);
+            let _rank = lockrank::held(lockrank::DV_SHARD);
+            let mut core = self.shards[shard].lock();
+            while i < evicts.len() && router.shard_of_key(evicts[i]) == shard {
+                let key = evicts[i];
+                i += 1;
+                if core.dv.begin_evict_delete(key) {
+                    self.unlink_events.fetch_add(1, Ordering::Release);
+                    evicts[kept] = key;
+                    kept += 1;
+                }
+            }
+        }
+        evicts.truncate(kept);
+        for &key in &evicts {
+            lockrank::assert_blocking_ok("evict-delete");
+            let name = self.driver.filename_of(key);
+            let _ = self.storage.delete(&name);
+        }
+        let now = inner.now();
+        let mut i = 0;
+        while i < evicts.len() {
+            let shard = router.shard_of_key(evicts[i]);
+            self.with_shard(
+                shard,
+                fx,
+                |core| {
+                    let DvCore { dv, actions, .. } = core;
+                    while i < evicts.len() && router.shard_of_key(evicts[i]) == shard {
+                        dv.end_evict_delete(evicts[i], now, actions);
+                        self.unlink_events.fetch_add(1, Ordering::Release);
+                        i += 1;
+                    }
+                },
+                |_, _| {},
+            );
+        }
+        evicts.clear();
+        fx.evicts = evicts;
     }
 
     /// Earliest supervision deadline across this context's shards
@@ -1166,27 +1232,39 @@ impl CtxRuntime {
         }
     }
 
-    /// Drains a connection's buffered fast-path pin window into the
+    /// Stages a connection's buffered fast-path pin window for the
     /// WAL: net out acquire/release pairs that cancelled within the
-    /// window, then hand the survivors to `commit` as explicit
-    /// `wal_records` — appended and fsynced inline, or by the effect
-    /// tier's group-fsync pass when the pool is active. Called when the
-    /// frame handler returns — after the replies, so a crash can lose a
-    /// fast pin's record (the re-assertion protocol re-acquires it) but
-    /// the log never claims a pin the client does not hold longer than
-    /// one window. The effect tier stretches "one window" by its queue
-    /// latency, which the same re-assertion protocol already covers.
-    /// No-op without durability.
-    fn wal_drain_local(&self, inner: &Inner, local: &mut ConnLocal, fx: &mut Effects) {
+    /// window, then move the survivors into `fx.wal_records`, which the
+    /// caller's `commit` appends and fsyncs — inline, or in the effect
+    /// tier's group-fsync pass when the pool is active — before any
+    /// frame of that commit is sent. Runs on the reactor tick (so the
+    /// window spans at most one [`crate::reactor::TICK`] plus
+    /// effect-queue latency), ahead of a `Status` reply, and early past
+    /// [`WAL_WINDOW_HIGH_WATER`]. Always after the window's own hit
+    /// replies: a crash can lose a fast pin's record (the re-assertion
+    /// protocol re-acquires it), and the log can claim a released pin
+    /// for at most one window (the reassert's closing `ClientGone`
+    /// frees it). No-op without durability.
+    fn wal_stage_local(&self, local: &mut ConnLocal, fx: &mut Effects) {
         if self.wal.is_none() || local.wal_pending.is_empty() {
             return;
         }
         walog::net_pin_window(&mut local.wal_pending);
-        if local.wal_pending.is_empty() {
+        fx.wal_records.append(&mut local.wal_pending);
+    }
+
+    /// The per-frame half of the window policy: past the high-water
+    /// mark, net the window in place, and journal it now only if it
+    /// stays at least half full (see [`WAL_WINDOW_HIGH_WATER`]).
+    fn wal_check_high_water(&self, inner: &Inner, local: &mut ConnLocal, fx: &mut Effects) {
+        if local.wal_pending.len() < WAL_WINDOW_HIGH_WATER {
             return;
         }
-        fx.wal_records.append(&mut local.wal_pending);
-        self.commit(inner, fx);
+        walog::net_pin_window(&mut local.wal_pending);
+        if local.wal_pending.len() >= WAL_WINDOW_HIGH_WATER / 2 {
+            self.wal_stage_local(local, fx);
+            self.commit(inner, fx);
+        }
     }
 
     /// Any recovery leases still waiting for re-assertion?
@@ -1323,6 +1401,10 @@ impl CtxRuntime {
                 true
             }
             Request::Status { req_id } => {
+                // The reply is this session's durability point: the
+                // buffered fast-pin window rides the same commit, whose
+                // WAL pass fsyncs it before the frame goes out.
+                self.wal_stage_local(local, fx);
                 let (stats, active) = self.stats_snapshot_with_active();
                 let resp = Response::StatusInfo {
                     req_id,
@@ -1333,7 +1415,7 @@ impl CtxRuntime {
                     active_sims: active,
                 };
                 fx.outbox.push((client, resp));
-                self.flush_outbox(fx);
+                self.commit(inner, fx);
                 true
             }
             Request::AccessDigest { dropped, records } => {
@@ -1895,10 +1977,16 @@ impl CtxRuntime {
     /// commits one simulator event. Runs on a helper thread when the
     /// effect tier is active, inline otherwise.
     fn apply_sim_event(&self, inner: &Inner, sim: SimId, event: SimWireEvent, fx: &mut Effects) {
+        // Read before any verify read below: admission compares it.
+        let verify_from = self.unlink_events.load(Ordering::Acquire);
         let event = match event {
             SimWireEvent::Started => DvEvent::SimStarted { sim },
             SimWireEvent::Produced { key, size } => match self.verify_produced(key) {
-                Ok(()) => DvEvent::FileProduced { sim, key, size },
+                Ok(()) => {
+                    self.produced_transition(inner, sim, key, size, verify_from, fx);
+                    self.commit(inner, fx);
+                    return;
+                }
                 Err(_why) => {
                     // Never let a bad file reach residency: delete it so
                     // a retry re-produces from scratch, then hand the DV
@@ -1919,6 +2007,44 @@ impl CtxRuntime {
         };
         self.transition(inner, event, fx);
         self.commit(inner, fx);
+    }
+
+    /// Admits a verified `FileProduced` — unless the verify read may
+    /// predate an unlink of the same key. A live producer is safe: no
+    /// unlink of a key it will write is decided while it runs, and none
+    /// decided before its launch is still in flight (the DV holds the
+    /// launch back). A retired producer's late event is not: its keys
+    /// became deletable when it retired. If an unlink of the key is in
+    /// flight, or any unlink was decided or landed since `verify_from`,
+    /// the output is orphaned instead — not admitted, and its file
+    /// handed to the delete path.
+    fn produced_transition(
+        &self,
+        inner: &Inner,
+        sim: SimId,
+        key: u64,
+        size: u64,
+        verify_from: u64,
+        fx: &mut Effects,
+    ) {
+        let now = inner.now();
+        let unlink_events = &self.unlink_events;
+        self.with_shard(
+            self.router.shard_of_key(key),
+            fx,
+            |core| {
+                let DvCore { dv, actions, .. } = core;
+                let raced = !dv.has_sim(sim)
+                    && (dv.delete_in_flight(key)
+                        || unlink_events.load(Ordering::Relaxed) != verify_from);
+                if raced {
+                    actions.push(DvAction::Evict { key });
+                } else {
+                    dv.handle_into(now, DvEvent::FileProduced { sim, key, size }, actions);
+                }
+            },
+            |_, _| {},
+        );
     }
 
     /// Tears down a simulator session; a connection dying before
@@ -1961,6 +2087,8 @@ impl CtxRuntime {
 ///    is preserved batch-wide: no frame of any job goes on the wire
 ///    before every pin record of the batch is durable (strictly
 ///    stronger than the per-commit ordering the inline path provides).
+///    The append and sync time counts toward each context's `Wal`
+///    class, whichever job class carried the records.
 /// 2. **Execution in submission order.** Each job then runs through the
 ///    same code the inline path uses (`commit_inline`,
 ///    `apply_sim_event`, `bitrep_response`), with its WAL pass skipped
@@ -1978,11 +2106,14 @@ fn execute_effect_batch(inner: &Inner, mut jobs: Vec<EffectJob>) {
         if let EffectJob::Commit { ctx, fx, wal_logged } = job {
             if let Some(wal) = &ctx.wal {
                 if !fx.outbox.is_empty() || !fx.wal_records.is_empty() {
+                    let t0 = Instant::now();
                     let _rank = lockrank::held(lockrank::WAL);
                     let mut w = wal.lock();
                     if ctx.wal_append_outbox(&mut w, fx) && !dirty.iter().any(|c| Arc::ptr_eq(c, ctx)) {
                         dirty.push(Arc::clone(ctx));
                     }
+                    drop(w);
+                    ctx.effects.record_ns(EffectClass::Wal, t0.elapsed());
                 }
                 *wal_logged = true;
             }
@@ -1990,8 +2121,10 @@ fn execute_effect_batch(inner: &Inner, mut jobs: Vec<EffectJob>) {
     }
     for ctx in &dirty {
         if let Some(wal) = &ctx.wal {
+            let t0 = Instant::now();
             let _rank = lockrank::held(lockrank::WAL);
             wal.lock().sync_and_compact(ctx.member.epoch);
+            ctx.effects.record_ns(EffectClass::Wal, t0.elapsed());
         }
     }
     for job in jobs {
@@ -2226,6 +2359,7 @@ impl DvServer {
                 takeover_acquires: AtomicU64::new(0),
                 takeover_intervals_primed: AtomicU64::new(0),
                 takeover_pins_handed_back: AtomicU64::new(0),
+                unlink_events: AtomicU64::new(0),
             });
             prime_work.push((Arc::clone(&runtime), evicted));
             let previous = contexts.insert(name.clone(), runtime);
@@ -2689,12 +2823,13 @@ impl crate::reactor::Handler for EpollConn {
                     return false;
                 };
                 let keep = runtime.handle_analysis_request(&self.inner, *client, req, local, cx, fx);
-                // Tier 1b: the frame's fast-path pin window becomes
-                // durable once the replies are staged (slow-path pins
-                // were logged before their sends, inside commit) — via
-                // the effect tier's group-fsync pass when active.
+                // Tier 1b: the fast-pin window stays open across frames
+                // (DVLib's Release rides the next Acquire's frame, so a
+                // per-frame drain would never net a pair); the reactor
+                // tick journals it. Only an oversized window drains
+                // here.
                 if keep {
-                    runtime.wal_drain_local(&self.inner, local, fx);
+                    runtime.wal_check_high_water(&self.inner, local, fx);
                 }
                 keep
             }
@@ -2716,10 +2851,11 @@ impl crate::reactor::Handler for EpollConn {
     fn wants_tick(&self) -> bool {
         // A prefetching context's pure-hit connection never takes a DV
         // lock, so its recorded accesses would otherwise sit in the log
-        // forever: ask the reactor for ticks while records wait.
+        // forever; a durable context's fast-pin window waits for the
+        // tick by design. Ask for ticks while either holds records.
         match &self.state {
             ConnState::Analysis { runtime, local, .. } => {
-                runtime.digest && !local.log.is_empty()
+                (runtime.digest && !local.log.is_empty()) || !local.wal_pending.is_empty()
             }
             _ => false,
         }
@@ -2735,8 +2871,9 @@ impl crate::reactor::Handler for EpollConn {
         {
             if runtime.digest && !local.log.is_empty() {
                 runtime.drain_digest(&self.inner, local, fx);
-                runtime.commit(&self.inner, fx);
             }
+            runtime.wal_stage_local(local, fx);
+            runtime.commit(&self.inner, fx);
         }
     }
 

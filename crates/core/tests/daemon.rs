@@ -44,6 +44,18 @@ fn start_daemon_cfg(
     dv_shards: u32,
     prefetch: bool,
 ) -> Fixture {
+    start_daemon_durability(tag, cache_steps, smax, dv_shards, prefetch, DurabilityCfg::default())
+}
+
+/// [`start_daemon_cfg`] with an explicit crash-safety configuration.
+fn start_daemon_durability(
+    tag: &str,
+    cache_steps: u64,
+    smax: u32,
+    dv_shards: u32,
+    prefetch: bool,
+    durability: DurabilityCfg,
+) -> Fixture {
     let dir = std::env::temp_dir().join(format!(
         "simfs-daemon-{}-{}-{:?}",
         tag,
@@ -83,7 +95,7 @@ fn start_daemon_cfg(
             checksums,
             dv_shards,
             cluster: ClusterMember::SOLO,
-            durability: DurabilityCfg::default(),
+            durability,
         },
         "127.0.0.1:0",
     )
@@ -1364,4 +1376,66 @@ fn lock_rank_tracker_is_engaged_and_clean_across_supervision() {
     } else {
         assert_eq!(simkit::lockrank::checks(), 0, "release tracker is compiled out");
     }
+}
+
+/// A durable context's hit path journals nothing in steady state:
+/// DVLib's fire-and-forget `Release` reaches the daemon in the frame of
+/// the next `Acquire`, so the fast-pin window must stay open across
+/// frames for an acquire→release pair to net out. 1000 hit pairs may
+/// leave a couple of records per reactor tick (a window cut between an
+/// acquire and its release), never one per pin.
+#[test]
+fn durable_hit_pairs_net_to_no_wal_records() {
+    let fx = start_daemon_durability("walnet", 64, 4, 1, false, DurabilityCfg::durable(false));
+    let mut client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
+    let status = client.acquire(&[2]).unwrap(); // materializes 1..=4
+    assert!(status.ok(), "{status:?}");
+    client.release(2).unwrap();
+    while client.status().unwrap().active_sims > 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let before = fx.server.stats();
+    for i in 0..1000u64 {
+        let key = 1 + i % 4;
+        let status = client.acquire(&[key]).unwrap();
+        assert!(status.ok(), "{status:?}");
+        client.release(key).unwrap();
+    }
+    client.status().unwrap();
+    let after = fx.server.stats();
+    assert_eq!(after.acquired_fast - before.acquired_fast, 1000, "{after:?}");
+    let appends = after.wal_appends - before.wal_appends;
+    assert!(appends <= 50, "1000 hit pairs appended {appends} WAL records");
+    client.finalize().unwrap();
+}
+
+/// An idle session's fast-pin window still reaches the WAL: with no
+/// further frame and no `Status`, the reactor tick journals it.
+#[test]
+fn idle_fast_pin_window_is_journaled_on_the_tick() {
+    let fx = start_daemon_durability("walidle", 64, 4, 1, false, DurabilityCfg::durable(false));
+    let mut client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
+    let status = client.acquire(&[2]).unwrap(); // materializes 1..=4
+    assert!(status.ok(), "{status:?}");
+    while client.status().unwrap().active_sims > 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let status = client.acquire(&[3]).unwrap();
+    assert!(status.ok(), "{status:?}");
+    assert_eq!(fx.server.fast_pinned("test-ctx", 3), Some(true), "3 must be a fast pin");
+    let wal = fx.storage.root().join("dv-member-0.wal");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let (records, _) = simstore::walog::replay_bytes(&std::fs::read(&wal).unwrap());
+        let pins = simstore::walog::WalState::replay(&records).pins;
+        if pins.get(&(client.client_id(), 3)) == Some(&1) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "idle fast pin on 3 never journaled: {pins:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    client.finalize().unwrap();
 }

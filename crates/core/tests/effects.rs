@@ -1,6 +1,8 @@
 //! Effect-execution tier tests: pooled vs inline equivalence,
 //! head-of-line blocking, queue backpressure, supervision with helpers
-//! on, and the saturated-stream digest guarantee.
+//! on, the saturated-stream digest guarantee, the `Status` durability
+//! point of the fast-pin window, and deferred eviction deletes racing
+//! re-productions.
 //!
 //! The daemon's default is pool ON (one helper per reactor shard);
 //! `effect_helpers: Some(0)` is the inline compatibility mode these
@@ -40,6 +42,11 @@ struct FixtureCfg {
     faults: SimFaultSpec,
     supervisor: Option<simfs_core::model::SupervisorCfg>,
     tuning: DaemonTuning,
+    policy: &'static str,
+    /// Simulated restart latency and per-step production time.
+    restart: Duration,
+    per_step: Duration,
+    durability: DurabilityCfg,
 }
 
 impl Default for FixtureCfg {
@@ -51,6 +58,10 @@ impl Default for FixtureCfg {
             faults: SimFaultSpec::default(),
             supervisor: None,
             tuning: DaemonTuning::default(),
+            policy: "dcl",
+            restart: Duration::from_millis(2),
+            per_step: Duration::from_millis(1),
+            durability: DurabilityCfg::default(),
         }
     }
 }
@@ -73,7 +84,7 @@ fn start_daemon(tag: &str, cfg: FixtureCfg) -> Fixture {
     let size = step_bytes(1).len() as u64;
     let steps = StepMath::new(1, 4, 64);
     let mut ctx = ContextCfg::new("test-ctx", steps, size, cfg.cache_steps * size)
-        .with_policy("dcl")
+        .with_policy(cfg.policy)
         .with_smax(cfg.smax)
         .with_prefetch(cfg.prefetch);
     if let Some(sup) = cfg.supervisor {
@@ -86,8 +97,8 @@ fn start_daemon(tag: &str, cfg: FixtureCfg) -> Fixture {
         ThreadSimLauncher::new(
             step_bytes,
             |key| PatternDriver::new("out-", ".sdf", 6).filename_of(key),
-            Duration::from_millis(2),
-            Duration::from_millis(1),
+            cfg.restart,
+            cfg.per_step,
         )
         .with_faults(cfg.faults),
     );
@@ -100,7 +111,7 @@ fn start_daemon(tag: &str, cfg: FixtureCfg) -> Fixture {
             checksums,
             dv_shards: 1,
             cluster: ClusterMember::SOLO,
-            durability: DurabilityCfg::default(),
+            durability: cfg.durability,
         }],
         "127.0.0.1:0",
         cfg.tuning,
@@ -440,4 +451,154 @@ fn saturated_single_client_keeps_full_digest() {
     );
     assert!(stats.digest_replayed >= 3000, "{stats:?}");
     client.finalize().unwrap();
+}
+
+/// A `Status` reply is a durability point for the session's fast pins:
+/// it leaves only after every fast-path pin the session holds is in the
+/// WAL file. Twice over: first with the lone effect helper held in a
+/// 400 ms launch stall when the pin is taken, so a reply sent ahead of
+/// the helper would find the pin unjournaled; then with the helper
+/// idle, right after a reactor tick, so the reply cannot lean on the
+/// next tick's drain of the window.
+#[test]
+fn status_reply_follows_journaled_fast_pins() {
+    let fx = start_daemon(
+        "statuswal",
+        FixtureCfg {
+            faults: SimFaultSpec {
+                launch_delay: Duration::from_millis(400),
+                ..Default::default()
+            },
+            tuning: DaemonTuning {
+                reactor_shards: 1,
+                effect_helpers: Some(1),
+                ..Default::default()
+            },
+            durability: DurabilityCfg::durable(false),
+            ..Default::default()
+        },
+    );
+    let mut client = SimfsClient::connect(fx.server.addr(), "test-ctx").unwrap();
+    let wal = fx.storage.root().join("dv-member-0.wal");
+    let id = client.client_id();
+    // Pins `pin` on the fast path right after a tick has fired (a fast
+    // pin on `prime` draws it), sends Status, and returns the pin count
+    // the WAL file holds for `pin` when the reply arrives.
+    let journaled_at_reply = |client: &mut SimfsClient, prime: u64, pin: u64| {
+        let status = client.acquire(&[prime]).unwrap();
+        assert!(status.ok(), "{status:?}");
+        std::thread::sleep(Duration::from_millis(25));
+        let status = client.acquire(&[pin]).unwrap();
+        assert!(status.ok(), "{status:?}");
+        assert_eq!(fx.server.fast_pinned("test-ctx", pin), Some(true), "{pin}: no fast pin");
+        client.status().unwrap();
+        let (records, _) = simstore::walog::replay_bytes(&std::fs::read(&wal).unwrap());
+        let pins = simstore::walog::WalState::replay(&records).pins;
+        pins.get(&(id, pin)).copied()
+    };
+    // Materialize 1..=4, then drop the slow-path pin on 2.
+    let status = client.acquire(&[2]).unwrap();
+    assert!(status.ok(), "{status:?}");
+    client.release(2).unwrap();
+    settle(&mut client);
+
+    // A miss in another interval occupies the helper with its launch.
+    let mut miss = client.acquire_nb(&[30]).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(journaled_at_reply(&mut client, 4, 3), Some(1), "stalled helper");
+    let status = client.wait(&mut miss).unwrap();
+    assert!(status.ok(), "{status:?}");
+    settle(&mut client);
+    assert_eq!(journaled_at_reply(&mut client, 1, 2), Some(1), "idle helper");
+
+    for key in [1, 2, 3, 4, 30] {
+        client.release(key).unwrap();
+    }
+    client.finalize().unwrap();
+}
+
+/// Deferred eviction deletes against re-productions: a tiny LRU cache
+/// over a 64-step timeline keeps evicting steps that the next miss's
+/// re-simulation of the same interval writes again. A delete decided
+/// for the evicted copy must never remove the fresh one — seen as a
+/// false `OutputCorrupt` (the verify read finds no file, the sim is
+/// killed and retried) or as a `Ready` for a missing file — and the
+/// deletes it had to skip must still happen, so storage returns to the
+/// cache budget once the daemon is idle.
+#[test]
+fn evictions_never_delete_a_freshly_published_step() {
+    const CACHE_STEPS: usize = 16;
+    let fx = start_daemon(
+        "freshstep",
+        FixtureCfg {
+            cache_steps: CACHE_STEPS as u64,
+            policy: "lru",
+            restart: Duration::from_micros(500),
+            per_step: Duration::from_micros(100),
+            ..Default::default()
+        },
+    );
+    let addr = fx.server.addr();
+    let run_for = Duration::from_secs(3);
+    let handles: Vec<_> = (0..2u64)
+        .map(|c| {
+            let storage = fx.storage.clone();
+            std::thread::spawn(move || {
+                let driver = PatternDriver::new("out-", ".sdf", 6);
+                let mut client = SimfsClient::connect(addr, "test-ctx").unwrap();
+                let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ (c + 1);
+                let mut bad = Vec::new();
+                let deadline = Instant::now() + run_for;
+                while Instant::now() < deadline {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let key = 1 + state % 64;
+                    let status = client.acquire(&[key]).unwrap();
+                    if !status.ok() {
+                        bad.push(format!("acquire {key}: {:?}", status.failed));
+                        continue;
+                    }
+                    match storage.read(&driver.filename_of(key)) {
+                        Ok(bytes) if bytes == step_bytes(key) => {}
+                        Ok(_) => bad.push(format!("Ready {key}: wrong bytes")),
+                        Err(e) => bad.push(format!("Ready {key}: {e}")),
+                    }
+                    client.release(key).unwrap();
+                }
+                client.finalize().unwrap();
+                bad
+            })
+        })
+        .collect();
+    let bad: Vec<String> = handles
+        .into_iter()
+        .flat_map(|h| h.join().unwrap())
+        .collect();
+    let stats = fx.server.stats();
+    assert!(bad.is_empty(), "{} bad acquires, first: {:?}", bad.len(), &bad[..bad.len().min(5)]);
+    assert_eq!(stats.corrupt_outputs, 0, "{stats:?}");
+    assert_eq!(stats.sim_retries, 0, "{stats:?}");
+
+    let mut probe = SimfsClient::connect(addr, "test-ctx").unwrap();
+    settle(&mut probe);
+    probe.finalize().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let steps = fx
+            .storage
+            .list()
+            .unwrap()
+            .into_iter()
+            .filter(|f| f.ends_with(".sdf"))
+            .count();
+        if steps <= CACHE_STEPS {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{steps} step files on disk after quiescence, cache budget {CACHE_STEPS}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }

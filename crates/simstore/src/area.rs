@@ -12,6 +12,7 @@
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A bounded directory of output/restart step files.
 #[derive(Clone, Debug)]
@@ -62,10 +63,17 @@ impl StorageArea {
     }
 
     /// Atomically publishes `bytes` as `name` (write temp + rename);
-    /// returns the byte size.
+    /// returns the byte size. Each call writes its own temp file, so
+    /// overlapping re-simulations publishing the same step cannot
+    /// truncate or rename each other's half-written copy.
     pub fn publish(&self, name: &str, bytes: &[u8]) -> io::Result<u64> {
+        static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
         let path = self.path_for(name)?;
-        let tmp = path.with_extension("tmp-publish");
+        let tmp = path.with_extension(format!(
+            "tmp-publish-{}-{}",
+            std::process::id(),
+            NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+        ));
         {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(bytes)?;

@@ -856,6 +856,52 @@ mod tests {
                     prop_assert_eq!(n, d0.get(&ck).copied().unwrap_or(0).abs());
                 }
             }
+
+            /// The daemon's two journaling paths, interleaved: slow-path
+            /// pins append straight to the log (write-ahead), fast-path
+            /// pins and every release buffer in a connection window
+            /// that is netted and appended only at drain points. At
+            /// every drain point — whenever it falls — replaying the
+            /// log yields exactly the pins the client holds.
+            #[test]
+            fn fast_pin_windows_replay_to_held_pins(
+                ops in prop::collection::vec((0u8..3, 0u64..4, any::<bool>()), 0..64),
+            ) {
+                const CLIENT: u64 = 5;
+                let acquire = |key| WalRecord::PinAcquire { client: CLIENT, key, epoch: 1 };
+                let release = |key| WalRecord::PinRelease { client: CLIENT, key, epoch: 1 };
+                let mut held: std::collections::HashMap<(u64, u64), u32> =
+                    std::collections::HashMap::new();
+                let (mut log, mut window) = (Vec::new(), Vec::new());
+                for (i, &(kind, key, drain)) in ops.iter().enumerate() {
+                    match kind {
+                        0 => {
+                            log.push(acquire(key));
+                            *held.entry((CLIENT, key)).or_insert(0) += 1;
+                        }
+                        1 => {
+                            window.push(acquire(key));
+                            *held.entry((CLIENT, key)).or_insert(0) += 1;
+                        }
+                        _ => {
+                            // Releases only what the client holds (the
+                            // daemon ignores the rest before journaling).
+                            if let Some(n) = held.get_mut(&(CLIENT, key)) {
+                                window.push(release(key));
+                                *n -= 1;
+                                if *n == 0 {
+                                    held.remove(&(CLIENT, key));
+                                }
+                            }
+                        }
+                    }
+                    if drain || i + 1 == ops.len() {
+                        net_pin_window(&mut window);
+                        log.append(&mut window);
+                        prop_assert_eq!(&WalState::replay(&log).pins, &held);
+                    }
+                }
+            }
         }
     }
 }
